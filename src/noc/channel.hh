@@ -8,6 +8,11 @@
  * send only while credits remain (guaranteeing the downstream buffer
  * never overflows, per paper section 3.3). The *receiver* returns one
  * credit whenever a flit leaves its input buffer.
+ *
+ * Inside a crossbar each end is bound to its component's active-set
+ * bit: a sent flit wakes the receiver and a returned credit wakes the
+ * sender, so whatever is in flight on a channel is always owned by an
+ * active component.
  */
 
 #ifndef AMSC_NOC_CHANNEL_HH
@@ -17,6 +22,7 @@
 
 #include "common/delay_queue.hh"
 #include "common/types.hh"
+#include "noc/active_set.hh"
 #include "noc/message.hh"
 
 namespace amsc
@@ -53,6 +59,7 @@ class FlitChannel
         --senderCredits_;
         flits_.push(std::move(flit), now, flitLatency_);
         ++activity_.flitTraversals;
+        receiver_.set();
     }
 
     /** Receiver: @return true if a flit has arrived by @p now. */
@@ -66,6 +73,7 @@ class FlitChannel
     returnCredit(Cycle now)
     {
         creditReturns_.push(1, now, creditLatency_);
+        sender_.set();
     }
 
     /** Sender: absorb credits that completed the return trip. */
@@ -77,6 +85,10 @@ class FlitChannel
             ++senderCredits_;
         }
     }
+
+    /** Bind the bits returnCredit() and send() set, respectively. */
+    void bindSender(ActiveBit sender) { sender_ = sender; }
+    void bindReceiver(ActiveBit receiver) { receiver_ = receiver; }
 
     /** Credits currently available to the sender. */
     std::uint32_t senderCredits() const { return senderCredits_; }
@@ -134,6 +146,9 @@ class FlitChannel
     /** Number of flits currently on the wire. */
     std::size_t flitsInFlight() const { return flits_.size(); }
 
+    /** True while a credit is on its way back to the sender. */
+    bool creditsInFlight() const { return !creditReturns_.empty(); }
+
     const LinkActivity &activity() const { return activity_; }
     LinkActivity &activity() { return activity_; }
 
@@ -168,6 +183,8 @@ class FlitChannel
     DelayQueue<Flit> flits_;
     DelayQueue<std::uint8_t> creditReturns_;
     LinkActivity activity_;
+    ActiveBit sender_;
+    ActiveBit receiver_;
 };
 
 } // namespace amsc

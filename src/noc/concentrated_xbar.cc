@@ -28,7 +28,9 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
     rq.pipelineLatency = params_.routerPipelineLatency;
     rq.channelWidthBytes = params_.channelWidthBytes;
     Router *req_router = makeRouter(
-        rq, [c](const NocMessage &m) { return m.dst / c; });
+        rq, routeTable(slices, [c](std::uint32_t dst) {
+            return dst / c;
+        }));
 
     for (std::uint32_t p = 0; p < reqPorts_; ++p) {
         FlitChannel *ch =
@@ -62,7 +64,9 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
     rp.pipelineLatency = params_.routerPipelineLatency;
     rp.channelWidthBytes = params_.channelWidthBytes;
     Router *rep_router = makeRouter(
-        rp, [c](const NocMessage &m) { return m.dst / c; });
+        rp, routeTable(sms, [c](std::uint32_t dst) {
+            return dst / c;
+        }));
 
     for (std::uint32_t p = 0; p < repPorts_; ++p) {
         FlitChannel *ch =
@@ -85,6 +89,7 @@ ConcentratedXbarNetwork::ConcentratedXbarNetwork(const NocParams &params)
             ch, dsts, params_.ejectQueueCap,
             [c](std::uint32_t dst) { return dst % c; }));
     }
+    bindActiveSets(reqConc_, repConc_, reqDist_, repDist_);
 }
 
 std::string
@@ -128,9 +133,8 @@ ConcentratedXbarNetwork::hasRequestFor(SliceId slice) const
 NocMessage
 ConcentratedXbarNetwork::popRequestFor(SliceId slice, Cycle now)
 {
-    NocMessage msg = reqDist_[slice / conc_]->pop(slice % conc_);
-    accountDelivery(reqStats_, msg, now);
-    return msg;
+    return takeDelivery(reqStats_,
+                        reqDist_[slice / conc_]->pop(slice % conc_), now);
 }
 
 bool
@@ -142,107 +146,8 @@ ConcentratedXbarNetwork::hasReplyFor(SmId sm) const
 NocMessage
 ConcentratedXbarNetwork::popReplyFor(SmId sm, Cycle now)
 {
-    NocMessage msg = repDist_[sm / conc_]->pop(sm % conc_);
-    accountDelivery(repStats_, msg, now);
-    return msg;
-}
-
-void
-ConcentratedXbarNetwork::tick(Cycle now)
-{
-    for (auto &a : reqConc_)
-        a->tick(now);
-    for (auto &a : repConc_)
-        a->tick(now);
-    for (auto &r : routers_)
-        r->tick(now);
-    for (auto &a : reqDist_)
-        a->tick(now);
-    for (auto &a : repDist_)
-        a->tick(now);
-    if (replyHandler_) {
-        for (std::size_t d = 0; d < repDist_.size(); ++d) {
-            const std::uint32_t locals = std::min(
-                conc_, params_.numSms -
-                    static_cast<std::uint32_t>(d) * conc_);
-            for (std::uint32_t local = 0; local < locals; ++local) {
-                while (repDist_[d]->hasMessage(local)) {
-                    const NocMessage msg = repDist_[d]->pop(local);
-                    accountDelivery(repStats_, msg, now);
-                    replyHandler_(msg, now);
-                }
-            }
-        }
-    }
-}
-
-Cycle
-ConcentratedXbarNetwork::nextEventCycle(Cycle now) const
-{
-    Cycle next = CrossbarBase::nextEventCycle(now);
-    for (const auto &a : reqConc_)
-        next = std::min(next, a->nextEventCycle());
-    for (const auto &a : repConc_)
-        next = std::min(next, a->nextEventCycle());
-    return next;
-}
-
-bool
-ConcentratedXbarNetwork::drained() const
-{
-    for (const auto &a : reqConc_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &a : repConc_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &r : routers_) {
-        if (!r->drained())
-            return false;
-    }
-    for (const auto &a : reqDist_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &a : repDist_) {
-        if (!a->drained())
-            return false;
-    }
-    for (const auto &ch : channels_) {
-        if (!ch->quiescent())
-            return false;
-    }
-    return true;
-}
-
-void
-ConcentratedXbarNetwork::saveCkpt(CkptWriter &w) const
-{
-    CrossbarBase::saveCkpt(w);
-    for (const auto &a : reqConc_)
-        a->saveCkpt(w);
-    for (const auto &a : reqDist_)
-        a->saveCkpt(w);
-    for (const auto &a : repConc_)
-        a->saveCkpt(w);
-    for (const auto &a : repDist_)
-        a->saveCkpt(w);
-}
-
-void
-ConcentratedXbarNetwork::loadCkpt(CkptReader &r)
-{
-    CrossbarBase::loadCkpt(r);
-    for (auto &a : reqConc_)
-        a->loadCkpt(r);
-    for (auto &a : reqDist_)
-        a->loadCkpt(r);
-    for (auto &a : repConc_)
-        a->loadCkpt(r);
-    for (auto &a : repDist_)
-        a->loadCkpt(r);
+    return takeDelivery(repStats_, repDist_[sm / conc_]->pop(sm % conc_),
+                        now);
 }
 
 } // namespace amsc

@@ -9,6 +9,10 @@
  * equal channel width. Shared-port contention is modeled in the
  * adapters, which is why C-Xbar\@8 underperforms H-Xbar at the same
  * bisection bandwidth in Figure 7a.
+ *
+ * The concentrators and distributors are the base's sources and
+ * sinks, so ticking, event advertisement, draining and checkpointing
+ * are all CrossbarBase's.
  */
 
 #ifndef AMSC_NOC_CONCENTRATED_XBAR_HH
@@ -38,18 +42,6 @@ class ConcentratedXbarNetwork : public CrossbarBase
     NocMessage popRequestFor(SliceId slice, Cycle now) override;
     bool hasReplyFor(SmId sm) const override;
     NocMessage popReplyFor(SmId sm, Cycle now) override;
-    void tick(Cycle now) override;
-    bool drained() const override;
-
-    /**
-     * Base events (routers + channels; the base endpoint vectors are
-     * empty here) plus the concentrators' earliest sendable cycles.
-     * Distributors need no term: they act only on channel arrivals,
-     * which the base channel scan already advertises.
-     */
-    Cycle nextEventCycle(Cycle now) const override;
-    void saveCkpt(CkptWriter &w) const override;
-    void loadCkpt(CkptReader &r) override;
 
     std::string name() const override;
 

@@ -26,18 +26,19 @@
 #include "common/types.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
+#include "noc/endpoint.hh"
 #include "noc/message.hh"
 
 namespace amsc
 {
 
 /** c-to-1 injection concentrator with per-source queues. */
-class ConcentratorAdapter
+class ConcentratorAdapter final : public NocSource
 {
   public:
     ConcentratorAdapter(FlitChannel *out, std::uint32_t width_bytes,
                         std::uint32_t num_srcs, std::size_t queue_cap)
-        : out_(out), widthBytes_(width_bytes), queueCap_(queue_cap),
+        : NocSource(out), widthBytes_(width_bytes), queueCap_(queue_cap),
           queues_(num_srcs), arb_(num_srcs)
     {}
 
@@ -54,11 +55,12 @@ class ConcentratorAdapter
             panic("concentrator queue overflow");
         msg.injectCycle = now;
         queues_[local_src].push_back(msg);
+        self_.set();
     }
 
     /** Stream one flit of the current packet, or arbitrate a new one. */
     void
-    tick(Cycle now)
+    tick(Cycle now) override
     {
         out_->tickSender(now);
         if (!out_->canSend())
@@ -93,8 +95,12 @@ class ConcentratorAdapter
         }
     }
 
+    /**
+     * True when every source queue is empty (a mid-packet cursor
+     * implies a non-empty queue).
+     */
     bool
-    drained() const
+    drained() const override
     {
         for (const auto &q : queues_) {
             if (!q.empty())
@@ -103,21 +109,9 @@ class ConcentratorAdapter
         return true;
     }
 
-    /**
-     * Earliest cycle tick() could stream a flit: kNoCycle while every
-     * source queue is empty (a mid-packet cursor implies a non-empty
-     * queue, so drained() covers it), otherwise the shared channel's
-     * next sendable cycle.
-     */
-    Cycle
-    nextEventCycle() const
-    {
-        return drained() ? kNoCycle : out_->nextSendableCycle();
-    }
-
     /** Serialize per-source queues, arbiter and streaming cursor. */
     void
-    saveCkpt(CkptWriter &w) const
+    saveCkpt(CkptWriter &w) const override
     {
         for (const auto &q : queues_) {
             w.varint(q.size());
@@ -131,7 +125,7 @@ class ConcentratorAdapter
 
     /** Restore state written by saveCkpt(). */
     void
-    loadCkpt(CkptReader &r)
+    loadCkpt(CkptReader &r) override
     {
         for (auto &q : queues_) {
             q.clear();
@@ -150,7 +144,6 @@ class ConcentratorAdapter
     }
 
   private:
-    FlitChannel *out_;
     std::uint32_t widthBytes_;
     std::size_t queueCap_;
     std::vector<std::deque<NocMessage>> queues_;
@@ -160,7 +153,7 @@ class ConcentratorAdapter
 };
 
 /** 1-to-c ejection distributor with per-destination queues. */
-class DistributorAdapter
+class DistributorAdapter final : public NocSink
 {
   public:
     /** Maps msg.dst to a local endpoint index. */
@@ -174,7 +167,7 @@ class DistributorAdapter
      */
     DistributorAdapter(FlitChannel *in, std::uint32_t num_dsts,
                        std::size_t queue_cap, LocalFn local_of)
-        : in_(in), queueCap_(queue_cap), queues_(num_dsts),
+        : NocSink(in), queueCap_(queue_cap), queues_(num_dsts),
           localOf_(std::move(local_of))
     {}
 
@@ -183,22 +176,22 @@ class DistributorAdapter
      * local queue; a full target queue blocks the whole port
      * (head-of-line blocking by design).
      */
-    void
-    tick(Cycle now)
+    bool
+    tick(Cycle now) override
     {
         if (!in_->hasArrival(now))
-            return;
+            return false;
         if (havePending_) {
             // Mid-packet: stall on the known target queue.
             if (queues_[pendingLocal_].size() >= queueCap_)
-                return; // HoL block
+                return false; // HoL block
         } else {
             // The next flit could be a head for any destination; the
             // port stalls if any local queue is full (conservative
             // head-of-line blocking, as in a real 1:c demux latch).
             for (const auto &q : queues_) {
                 if (q.size() >= queueCap_)
-                    return;
+                    return false;
             }
         }
         Flit flit = in_->receive(now);
@@ -215,6 +208,7 @@ class DistributorAdapter
             queues_[pendingLocal_].push_back(pending_);
             havePending_ = false;
         }
+        return flit.tail;
     }
 
     bool
@@ -231,21 +225,33 @@ class DistributorAdapter
         return m;
     }
 
-    bool
-    drained() const
+    NocMessage
+    popNext() override
     {
-        if (havePending_)
-            return false;
-        for (const auto &q : queues_) {
-            if (!q.empty())
-                return false;
-        }
-        return true;
+        std::uint32_t local = 0;
+        while (queues_[local].empty())
+            ++local;
+        return pop(local);
+    }
+
+    bool
+    drained() const override
+    {
+        return !havePending_ && parked() == 0;
+    }
+
+    std::size_t
+    parked() const override
+    {
+        std::size_t n = 0;
+        for (const auto &q : queues_)
+            n += q.size();
+        return n;
     }
 
     /** Serialize per-destination queues and the reassembly latch. */
     void
-    saveCkpt(CkptWriter &w) const
+    saveCkpt(CkptWriter &w) const override
     {
         for (const auto &q : queues_) {
             w.varint(q.size());
@@ -259,7 +265,7 @@ class DistributorAdapter
 
     /** Restore state written by saveCkpt(). */
     void
-    loadCkpt(CkptReader &r)
+    loadCkpt(CkptReader &r) override
     {
         for (auto &q : queues_) {
             q.clear();
@@ -278,7 +284,6 @@ class DistributorAdapter
     }
 
   private:
-    FlitChannel *in_;
     std::size_t queueCap_;
     std::vector<std::deque<NocMessage>> queues_;
     LocalFn localOf_;

@@ -1,5 +1,7 @@
 #include "noc/crossbar_base.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace amsc
@@ -22,18 +24,34 @@ CrossbarBase::makeChannel(Cycle flit_latency, std::uint32_t credits,
 }
 
 Router *
-CrossbarBase::makeRouter(const RouterParams &rp, Router::RouteFn fn)
+CrossbarBase::makeRouter(const RouterParams &rp,
+                         std::vector<std::uint32_t> route)
 {
-    routers_.push_back(std::make_unique<Router>(rp, std::move(fn)));
+    routers_.push_back(std::make_unique<Router>(rp, std::move(route)));
     return routers_.back().get();
 }
 
 void
-CrossbarBase::accountDelivery(NetworkStats &stats, const NocMessage &msg,
-                              Cycle now) const
+CrossbarBase::bindComponents()
 {
-    Network::accountDelivery(stats, msg, now,
-                             params_.channelWidthBytes);
+    activeSources_.resize(sources_.size());
+    activeRouters_.resize(routers_.size());
+    activeSinks_.resize(sinks_.size());
+    for (std::size_t i = 0; i < sources_.size(); ++i)
+        sources_[i]->bindActive(activeSources_.bit(i));
+    for (std::size_t i = 0; i < routers_.size(); ++i)
+        routers_[i]->bindActive(activeRouters_.bit(i));
+    for (std::size_t i = 0; i < sinks_.size(); ++i)
+        sinks_[i]->bindActive(activeSinks_.bit(i));
+}
+
+NocMessage
+CrossbarBase::takeDelivery(NetworkStats &stats, const NocMessage &msg,
+                           Cycle now)
+{
+    --parked_;
+    Network::accountDelivery(stats, msg, now, params_.channelWidthBytes);
+    return msg;
 }
 
 bool
@@ -71,9 +89,7 @@ CrossbarBase::hasRequestFor(SliceId slice) const
 NocMessage
 CrossbarBase::popRequestFor(SliceId slice, Cycle now)
 {
-    NocMessage msg = reqEj_[slice]->pop();
-    accountDelivery(reqStats_, msg, now);
-    return msg;
+    return takeDelivery(reqStats_, reqEj_[slice]->pop(), now);
 }
 
 bool
@@ -85,39 +101,56 @@ CrossbarBase::hasReplyFor(SmId sm) const
 NocMessage
 CrossbarBase::popReplyFor(SmId sm, Cycle now)
 {
-    NocMessage msg = repEj_[sm]->pop();
-    accountDelivery(repStats_, msg, now);
-    return msg;
+    return takeDelivery(repStats_, repEj_[sm]->pop(), now);
 }
 
 void
 CrossbarBase::tick(Cycle now)
 {
-    for (auto &inj : reqInj_)
-        inj->tick(now);
-    for (auto &inj : repInj_)
-        inj->tick(now);
-    for (auto &r : routers_)
-        r->tick(now);
-    for (auto &ej : reqEj_)
-        ej->tick(now);
-    for (auto &ej : repEj_)
-        ej->tick(now);
+    ++cycles_;
+    activeSources_.walk([&](std::size_t i) {
+        NocSource &src = *sources_[i];
+        src.tick(now);
+        return src.busy();
+    });
+    activeRouters_.walk([&](std::size_t i) {
+        Router &r = *routers_[i];
+        r.tick(now);
+        return r.busy();
+    });
+    activeSinks_.walk([&](std::size_t i) {
+        NocSink &sink = *sinks_[i];
+        if (sink.tick(now)) {
+            ++parked_;
+            if (i >= firstRepSink_)
+                repReady_.push_back(i);
+        }
+        return sink.busy();
+    });
     deliverReplies(now);
+#ifndef NDEBUG
+    checkActiveSets();
+#endif
 }
 
 void
 CrossbarBase::deliverReplies(Cycle now)
 {
-    if (!replyHandler_)
-        return;
-    for (auto &ej : repEj_) {
-        while (ej->hasMessage()) {
-            const NocMessage msg = ej->pop();
-            accountDelivery(repStats_, msg, now);
-            replyHandler_(msg, now);
+    // One flit per sink per tick completes at most one message per
+    // sink, and every earlier reply was delivered on its own tick, so
+    // draining just these sinks in index order is the full scan's
+    // delivery order.
+    if (replyHandler_) {
+        for (const std::size_t i : repReady_) {
+            NocSink &sink = *sinks_[i];
+            while (sink.parked() != 0) {
+                const NocMessage msg =
+                    takeDelivery(repStats_, sink.popNext(), now);
+                replyHandler_(msg, now);
+            }
         }
     }
+    repReady_.clear();
 }
 
 Cycle
@@ -125,55 +158,76 @@ CrossbarBase::nextEventCycle(Cycle now) const
 {
     (void)now;
     Cycle next = kNoCycle;
-    for (const auto &inj : reqInj_)
-        next = std::min(next, inj->nextEventCycle());
-    for (const auto &inj : repInj_)
-        next = std::min(next, inj->nextEventCycle());
-    for (const auto &r : routers_)
-        next = std::min(next, r->nextEventCycle());
-    for (const auto &ch : channels_) {
-        next = std::min(next, ch->nextArrivalCycle());
-        next = std::min(next, ch->nextCreditCycle());
-    }
+    activeSources_.forEach([&](std::size_t i) {
+        next = std::min(next, sources_[i]->nextEventCycle());
+    });
+    activeRouters_.forEach([&](std::size_t i) {
+        next = std::min(next, routers_[i]->nextEventCycle());
+    });
+    activeSinks_.forEach([&](std::size_t i) {
+        next = std::min(next, sinks_[i]->nextEventCycle());
+    });
     return next;
 }
 
 void
 CrossbarBase::advanceIdleCycles(Cycle n)
 {
-    for (auto &r : routers_)
-        r->skipIdleCycles(n);
+    cycles_ += n;
 }
 
 bool
 CrossbarBase::drained() const
 {
-    for (const auto &inj : reqInj_) {
-        if (!inj->drained())
-            return false;
+    return parked_ == 0 && !activeSources_.any() &&
+        !activeRouters_.any() && !activeSinks_.any();
+}
+
+#ifndef NDEBUG
+void
+CrossbarBase::checkActiveSets() const
+{
+    Cycle next = kNoCycle;
+    bool drained = true;
+    std::size_t parked = 0;
+    for (std::size_t i = 0; i < sources_.size(); ++i) {
+        const NocSource &src = *sources_[i];
+        if (activeSources_.test(i) != src.busy())
+            panic("NoC source %zu: active bit disagrees with its work",
+                  i);
+        next = std::min(next, src.nextEventCycle());
+        drained = drained && src.drained();
     }
-    for (const auto &inj : repInj_) {
-        if (!inj->drained())
-            return false;
+    for (std::size_t i = 0; i < routers_.size(); ++i) {
+        const Router &r = *routers_[i];
+        if (activeRouters_.test(i) != r.busy())
+            panic("router '%s': active bit disagrees with its work",
+                  r.params().name.c_str());
+        next = std::min(next, r.nextEventCycle());
+        drained = drained && r.drained();
     }
-    for (const auto &r : routers_) {
-        if (!r->drained())
-            return false;
-    }
-    for (const auto &ej : reqEj_) {
-        if (!ej->drained())
-            return false;
-    }
-    for (const auto &ej : repEj_) {
-        if (!ej->drained())
-            return false;
+    for (std::size_t i = 0; i < sinks_.size(); ++i) {
+        const NocSink &sink = *sinks_[i];
+        if (activeSinks_.test(i) != sink.busy())
+            panic("NoC sink %zu: active bit disagrees with its work", i);
+        next = std::min(next, sink.nextEventCycle());
+        drained = drained && sink.drained();
+        parked += sink.parked();
     }
     for (const auto &ch : channels_) {
-        if (!ch->quiescent())
-            return false;
+        next = std::min({next, ch->nextArrivalCycle(),
+                         ch->nextCreditCycle()});
+        drained = drained && ch->quiescent();
     }
-    return true;
+    if (parked != parked_)
+        panic("NoC parked-message count %zu, sinks hold %zu", parked_,
+              parked);
+    if (drained != this->drained())
+        panic("NoC drained() disagrees with a full scan");
+    if (next != nextEventCycle(0))
+        panic("NoC nextEventCycle() disagrees with a full scan");
 }
+#endif
 
 void
 CrossbarBase::saveCkpt(CkptWriter &w) const
@@ -187,15 +241,15 @@ CrossbarBase::saveCkpt(CkptWriter &w) const
         ch->saveCkpt(w);
     w.varint(routers_.size());
     for (const auto &r : routers_)
-        r->saveCkpt(w);
-    for (const auto &inj : reqInj_)
-        inj->saveCkpt(w);
-    for (const auto &ej : reqEj_)
-        ej->saveCkpt(w);
-    for (const auto &inj : repInj_)
-        inj->saveCkpt(w);
-    for (const auto &ej : repEj_)
-        ej->saveCkpt(w);
+        r->saveCkpt(w, cycles_);
+    for (std::size_t i = 0; i < firstRepSource_; ++i)
+        sources_[i]->saveCkpt(w);
+    for (std::size_t i = 0; i < firstRepSink_; ++i)
+        sinks_[i]->saveCkpt(w);
+    for (std::size_t i = firstRepSource_; i < sources_.size(); ++i)
+        sources_[i]->saveCkpt(w);
+    for (std::size_t i = firstRepSink_; i < sinks_.size(); ++i)
+        sinks_[i]->saveCkpt(w);
 }
 
 void
@@ -210,14 +264,30 @@ CrossbarBase::loadCkpt(CkptReader &r)
         r.fail("NoC router count mismatch");
     for (auto &rt : routers_)
         rt->loadCkpt(r);
-    for (auto &inj : reqInj_)
-        inj->loadCkpt(r);
-    for (auto &ej : reqEj_)
-        ej->loadCkpt(r);
-    for (auto &inj : repInj_)
-        inj->loadCkpt(r);
-    for (auto &ej : repEj_)
-        ej->loadCkpt(r);
+    for (std::size_t i = 0; i < firstRepSource_; ++i)
+        sources_[i]->loadCkpt(r);
+    for (std::size_t i = 0; i < firstRepSink_; ++i)
+        sinks_[i]->loadCkpt(r);
+    for (std::size_t i = firstRepSource_; i < sources_.size(); ++i)
+        sources_[i]->loadCkpt(r);
+    for (std::size_t i = firstRepSink_; i < sinks_.size(); ++i)
+        sinks_[i]->loadCkpt(r);
+    cycles_ = 0;
+    // Bits follow the restored state exactly: drained() reads them,
+    // and the LLC may poll it before the next tick.
+    parked_ = 0;
+    repReady_.clear();
+    for (std::size_t i = 0; i < sources_.size(); ++i)
+        activeSources_.assign(i, sources_[i]->busy());
+    for (std::size_t i = 0; i < routers_.size(); ++i)
+        activeRouters_.assign(i, routers_[i]->busy());
+    for (std::size_t i = 0; i < sinks_.size(); ++i) {
+        activeSinks_.assign(i, sinks_[i]->busy());
+        const std::size_t parked = sinks_[i]->parked();
+        parked_ += parked;
+        if (i >= firstRepSink_ && parked != 0)
+            repReady_.push_back(i);
+    }
 }
 
 NocActivity
@@ -226,7 +296,7 @@ CrossbarBase::activity() const
     NocActivity act;
     act.routers.reserve(routers_.size());
     for (const auto &r : routers_)
-        act.routers.push_back(r->activity());
+        act.routers.push_back(r->activity(cycles_));
     act.links.reserve(channels_.size());
     for (const auto &ch : channels_)
         act.links.push_back(ch->activity());

@@ -14,6 +14,12 @@
  * flits, which exhausts upstream credits and exerts backpressure into
  * the network -- this is exactly how "requests queue up in front of
  * the LLC slice" in the paper's shared-LLC bottleneck.
+ *
+ * NocSource and NocSink are what a crossbar sees of either kind of
+ * endpoint (these adapters, or the concentrated crossbar's
+ * concentrators and distributors): a tick, whether the adapter still
+ * has work for its tick (the active-set invariant), its next event
+ * and its checkpoint state.
  */
 
 #ifndef AMSC_NOC_ENDPOINT_HH
@@ -25,14 +31,107 @@
 #include "common/ckpt.hh"
 #include "common/log.hh"
 #include "common/types.hh"
+#include "noc/active_set.hh"
 #include "noc/channel.hh"
 #include "noc/message.hh"
 
 namespace amsc
 {
 
+/** A message source feeding one channel into a crossbar. */
+class NocSource
+{
+  public:
+    explicit NocSource(FlitChannel *out) : out_(out) {}
+    virtual ~NocSource() = default;
+
+    /** Transmit up to one flit. */
+    virtual void tick(Cycle now) = 0;
+
+    /** True when nothing is queued or partially sent. */
+    virtual bool drained() const = 0;
+
+    virtual void saveCkpt(CkptWriter &w) const = 0;
+    virtual void loadCkpt(CkptReader &r) = 0;
+
+    /**
+     * Bind the crossbar's active-set bit: accepting a message and a
+     * credit returned on the output channel both set it.
+     */
+    void
+    bindActive(ActiveBit bit)
+    {
+        self_ = bit;
+        out_->bindSender(bit);
+    }
+
+    /** Work for tick(): a queued message or a credit on its way back. */
+    bool busy() const { return !drained() || out_->creditsInFlight(); }
+
+    /**
+     * Earliest cycle tick() could change state. While a message is
+     * queued that is the channel's next sendable cycle: credits
+     * appear only through a returned credit (whose front it is) or a
+     * downstream pop (the downstream component's own event). Idle, it
+     * is the credit front alone, whose absorption still mutates
+     * checkpointed channel state.
+     */
+    Cycle
+    nextEventCycle() const
+    {
+        return drained() ? out_->nextCreditCycle()
+                         : out_->nextSendableCycle();
+    }
+
+  protected:
+    FlitChannel *out_;
+    /** Set on accept(); a queued message is work for tick(). */
+    ActiveBit self_;
+};
+
+/** A message sink draining one channel out of a crossbar. */
+class NocSink
+{
+  public:
+    explicit NocSink(FlitChannel *in) : in_(in) {}
+    virtual ~NocSink() = default;
+
+    /** Receive up to one flit. @return true if it completed a message. */
+    virtual bool tick(Cycle now) = 0;
+
+    /** True when no partial or complete message is held. */
+    virtual bool drained() const = 0;
+
+    /** Complete messages waiting for their consumer. */
+    virtual std::size_t parked() const = 0;
+
+    /**
+     * Take the oldest message of the lowest-numbered endpoint holding
+     * one. @pre parked() > 0.
+     */
+    virtual NocMessage popNext() = 0;
+
+    virtual void saveCkpt(CkptWriter &w) const = 0;
+    virtual void loadCkpt(CkptReader &r) = 0;
+
+    /** Bind the crossbar's active-set bit: a sent flit sets it. */
+    void bindActive(ActiveBit bit) { in_->bindReceiver(bit); }
+
+    /**
+     * Work for tick(): a flit in flight on the input channel. Parked
+     * messages are the consumer's event, not the sink's.
+     */
+    bool busy() const { return in_->flitsInFlight() != 0; }
+
+    /** The input channel's arrival front. */
+    Cycle nextEventCycle() const { return in_->nextArrivalCycle(); }
+
+  protected:
+    FlitChannel *in_;
+};
+
 /** Message source: packetizes and feeds one channel. */
-class InjectionAdapter
+class InjectionAdapter final : public NocSource
 {
   public:
     /**
@@ -42,7 +141,7 @@ class InjectionAdapter
      */
     InjectionAdapter(FlitChannel *out, std::uint32_t width_bytes,
                      std::size_t queue_cap)
-        : out_(out), widthBytes_(width_bytes), queueCap_(queue_cap)
+        : NocSource(out), widthBytes_(width_bytes), queueCap_(queue_cap)
     {}
 
     /** @return true if another message can be queued. */
@@ -56,11 +155,12 @@ class InjectionAdapter
             panic("injection queue overflow");
         msg.injectCycle = now;
         queue_.push_back(msg);
+        self_.set();
     }
 
     /** Transmit up to one flit. */
     void
-    tick(Cycle now)
+    tick(Cycle now) override
     {
         out_->tickSender(now);
         if (queue_.empty() || !out_->canSend())
@@ -80,28 +180,13 @@ class InjectionAdapter
         }
     }
 
-    /** True when nothing is queued or partially sent. */
-    bool drained() const { return queue_.empty(); }
-
-    /**
-     * Earliest cycle tick() could transmit a flit: kNoCycle while the
-     * queue is empty (an injection is an externally driven event),
-     * otherwise the channel's next sendable cycle. Never late: with
-     * the queue non-empty, credits appear only through a returned
-     * credit (advertised by the channel) or a downstream pop (the
-     * downstream component's own event).
-     */
-    Cycle
-    nextEventCycle() const
-    {
-        return queue_.empty() ? kNoCycle : out_->nextSendableCycle();
-    }
+    bool drained() const override { return queue_.empty(); }
 
     std::size_t queueSize() const { return queue_.size(); }
 
     /** Serialize queued messages and the partial-packet cursor. */
     void
-    saveCkpt(CkptWriter &w) const
+    saveCkpt(CkptWriter &w) const override
     {
         w.varint(queue_.size());
         for (const NocMessage &m : queue_)
@@ -111,7 +196,7 @@ class InjectionAdapter
 
     /** Restore state written by saveCkpt(). */
     void
-    loadCkpt(CkptReader &r)
+    loadCkpt(CkptReader &r) override
     {
         queue_.clear();
         const std::uint64_t n = r.varint();
@@ -124,7 +209,6 @@ class InjectionAdapter
     }
 
   private:
-    FlitChannel *out_;
     std::uint32_t widthBytes_;
     std::size_t queueCap_;
     std::deque<NocMessage> queue_;
@@ -132,7 +216,7 @@ class InjectionAdapter
 };
 
 /** Message sink: reassembles flits from one channel. */
-class EjectionAdapter
+class EjectionAdapter final : public NocSink
 {
   public:
     /**
@@ -140,23 +224,24 @@ class EjectionAdapter
      * @param queue_cap  reassembled-message queue capacity.
      */
     EjectionAdapter(FlitChannel *in, std::size_t queue_cap)
-        : in_(in), queueCap_(queue_cap)
+        : NocSink(in), queueCap_(queue_cap)
     {}
 
     /** Receive up to one flit (stalls when the queue is full). */
-    void
-    tick(Cycle now)
+    bool
+    tick(Cycle now) override
     {
         if (msgs_.size() >= queueCap_)
-            return; // backpressure: stop receiving, credits dry up
+            return false; // backpressure: stop receiving, credits dry up
         if (!in_->hasArrival(now))
-            return;
+            return false;
         Flit flit = in_->receive(now);
         in_->returnCredit(now);
         if (flit.head)
             pending_ = flit.msg;
         if (flit.tail)
             msgs_.push_back(pending_);
+        return flit.tail;
     }
 
     /** @return true if a complete message is available. */
@@ -174,14 +259,15 @@ class EjectionAdapter
         return m;
     }
 
-    /** True when no partial or complete message is held. */
-    bool drained() const { return msgs_.empty(); }
+    NocMessage popNext() override { return pop(); }
 
-    std::size_t queueSize() const { return msgs_.size(); }
+    bool drained() const override { return msgs_.empty(); }
+
+    std::size_t parked() const override { return msgs_.size(); }
 
     /** Serialize delivered messages and the reassembly latch. */
     void
-    saveCkpt(CkptWriter &w) const
+    saveCkpt(CkptWriter &w) const override
     {
         w.varint(msgs_.size());
         for (const NocMessage &m : msgs_)
@@ -191,7 +277,7 @@ class EjectionAdapter
 
     /** Restore state written by saveCkpt(). */
     void
-    loadCkpt(CkptReader &r)
+    loadCkpt(CkptReader &r) override
     {
         msgs_.clear();
         const std::uint64_t n = r.varint();
@@ -204,7 +290,6 @@ class EjectionAdapter
     }
 
   private:
-    FlitChannel *in_;
     std::size_t queueCap_;
     std::deque<NocMessage> msgs_;
     NocMessage pending_{};

@@ -18,7 +18,7 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
     rq.pipelineLatency = params_.routerPipelineLatency;
     rq.channelWidthBytes = params_.channelWidthBytes;
     reqRouter_ = makeRouter(
-        rq, [](const NocMessage &m) { return m.dst; });
+        rq, routeTable(slices, [](std::uint32_t dst) { return dst; }));
 
     for (SmId sm = 0; sm < sms; ++sm) {
         FlitChannel *ch =
@@ -49,7 +49,7 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
     rp.pipelineLatency = params_.routerPipelineLatency;
     rp.channelWidthBytes = params_.channelWidthBytes;
     repRouter_ = makeRouter(
-        rp, [](const NocMessage &m) { return m.dst; });
+        rp, routeTable(sms, [](std::uint32_t dst) { return dst; }));
 
     for (SliceId s = 0; s < slices; ++s) {
         FlitChannel *ch =
@@ -68,6 +68,7 @@ FullXbarNetwork::FullXbarNetwork(const NocParams &params)
         repEj_.push_back(std::make_unique<EjectionAdapter>(
             ch, params_.ejectQueueCap));
     }
+    bindActiveSets(reqInj_, repInj_, reqEj_, repEj_);
 }
 
 } // namespace amsc

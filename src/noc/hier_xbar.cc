@@ -31,11 +31,10 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.vcDepthFlits = params_.vcDepthFlits;
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
-        const std::uint32_t spm_local = spm;
         smRoutersReq_.push_back(makeRouter(
-            rp, [spm_local](const NocMessage &m) {
-                return m.dst / spm_local;
-            }));
+            rp, routeTable(slices, [spm](std::uint32_t dst) {
+                return dst / spm;
+            })));
     }
 
     // MC-routers: clusters inputs, spm slice outputs; route by
@@ -49,11 +48,10 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
         rp.gateable = true;
-        const std::uint32_t spm_local = spm;
         mcRoutersReq_.push_back(makeRouter(
-            rp, [spm_local](const NocMessage &msg) {
-                return msg.dst % spm_local;
-            }));
+            rp, routeTable(slices, [spm](std::uint32_t dst) {
+                return dst % spm;
+            })));
     }
 
     // SM -> SM-router short links (cluster-major SM numbering).
@@ -107,11 +105,10 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
         rp.gateable = true;
-        const std::uint32_t spc_local = spc;
         mcRoutersRep_.push_back(makeRouter(
-            rp, [spc_local](const NocMessage &msg) {
-                return msg.dst / spc_local;
-            }));
+            rp, routeTable(sms, [spc](std::uint32_t dst) {
+                return dst / spc;
+            })));
     }
 
     // SM-routers (reply): mcs inputs, spc SM outputs; route by the
@@ -124,11 +121,10 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         rp.vcDepthFlits = params_.vcDepthFlits;
         rp.pipelineLatency = params_.routerPipelineLatency;
         rp.channelWidthBytes = params_.channelWidthBytes;
-        const std::uint32_t spc_local = spc;
         smRoutersRep_.push_back(makeRouter(
-            rp, [spc_local](const NocMessage &msg) {
-                return msg.dst % spc_local;
-            }));
+            rp, routeTable(sms, [spc](std::uint32_t dst) {
+                return dst % spc;
+            })));
     }
 
     // Slice -> MC-router short links.
@@ -171,6 +167,7 @@ HierXbarNetwork::HierXbarNetwork(const NocParams &params)
         repEj_[sm] = std::make_unique<EjectionAdapter>(
             ch, params_.ejectQueueCap);
     }
+    bindActiveSets(reqInj_, repInj_, reqEj_, repEj_);
 }
 
 void
@@ -181,9 +178,9 @@ HierXbarNetwork::setPrivateMode(bool enable)
     if (!drained())
         panic("H-Xbar reconfigured while not drained");
     for (Router *r : mcRoutersReq_)
-        r->setBypass(enable);
+        r->setBypass(enable, cycles_);
     for (Router *r : mcRoutersRep_)
-        r->setBypass(enable);
+        r->setBypass(enable, cycles_);
     privateMode_ = enable;
 }
 

@@ -70,7 +70,11 @@ class Network
 
     virtual ~Network() = default;
 
-    /** Install @p fn as the push-delivery sink for replies. */
+    /**
+     * Install @p fn as the push-delivery sink for replies, before the
+     * first reply is delivered: the crossbars hand over only replies
+     * completed while a handler is installed.
+     */
     void setReplyHandler(ReplyHandler fn)
     {
         replyHandler_ = std::move(fn);

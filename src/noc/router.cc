@@ -1,15 +1,24 @@
 #include "noc/router.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace amsc
 {
 
-Router::Router(const RouterParams &params, RouteFn route_fn)
-    : params_(params), routeFn_(std::move(route_fn))
+Router::Router(const RouterParams &params,
+               std::vector<std::uint32_t> route)
+    : params_(params), route_(std::move(route))
 {
     if (params_.numInPorts == 0 || params_.numOutPorts == 0)
         fatal("router '%s' needs ports", params_.name.c_str());
+    for (std::size_t dst = 0; dst < route_.size(); ++dst) {
+        if (route_[dst] >= params_.numOutPorts)
+            fatal("router '%s': destination %zu routed to invalid "
+                  "port %u",
+                  params_.name.c_str(), dst, route_[dst]);
+    }
     if (params_.numVcs != 1)
         fatal("router '%s': only 1 VC per port is modeled (Table 1)",
               params_.name.c_str());
@@ -47,7 +56,20 @@ Router::connectOutput(std::uint32_t port, FlitChannel *channel)
 }
 
 void
-Router::setBypass(bool enable)
+Router::bindActive(ActiveBit bit)
+{
+    for (InputPort &in : inputs_) {
+        if (in.in != nullptr)
+            in.in->bindReceiver(bit);
+    }
+    for (OutputPort &out : outputs_) {
+        if (out.out != nullptr)
+            out.out->bindSender(bit);
+    }
+}
+
+void
+Router::setBypass(bool enable, std::uint64_t cycles)
 {
     if (enable == bypass_)
         return;
@@ -61,14 +83,49 @@ Router::setBypass(bool enable)
             panic("router '%s': bypass toggled while not drained",
                   params_.name.c_str());
     }
+    activity_ = activity(cycles);
+    accountedTo_ = cycles;
     bypass_ = enable;
+}
+
+RouterActivity
+Router::activity(std::uint64_t cycles) const
+{
+    RouterActivity a = activity_;
+    (bypass_ ? a.gatedCycles : a.activeCycles) += cycles - accountedTo_;
+    return a;
+}
+
+bool
+Router::busy() const
+{
+    if (bufferedFlits_ != 0)
+        return true;
+    for (const InputPort &in : inputs_) {
+        if (in.in != nullptr && in.in->flitsInFlight() != 0)
+            return true;
+    }
+    for (const OutputPort &out : outputs_) {
+        if (out.out != nullptr && out.out->creditsInFlight())
+            return true;
+    }
+    return false;
 }
 
 Cycle
 Router::nextEventCycle() const
 {
     Cycle next = kNoCycle;
-    for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
+    for (const InputPort &in : inputs_) {
+        if (in.in != nullptr)
+            next = std::min(next, in.in->nextArrivalCycle());
+    }
+    for (const OutputPort &out : outputs_) {
+        if (out.out != nullptr)
+            next = std::min(next, out.out->nextCreditCycle());
+    }
+    for (std::uint32_t i = 0; bufferedFlits_ != 0 && i < params_.numInPorts;
+         ++i) {
         const InputPort &in = inputs_[i];
         if (in.buffer.empty())
             continue;
@@ -78,9 +135,9 @@ Router::nextEventCycle() const
             // Bypass hard-wires input i to output i.
             out_port = i;
         } else if (front.second.head) {
-            out_port = routeFn_(front.second.msg);
-            if (out_port >= params_.numOutPorts)
+            if (front.second.msg.dst >= route_.size())
                 return 0; // tick() will panic; force the live tick
+            out_port = route_[front.second.msg.dst];
             if (outputs_[out_port].lockedBy != kInvalidId)
                 continue; // unlock is the lock holder's event
         } else {
@@ -150,7 +207,6 @@ Router::tickBypass(Cycle now)
             in.in->returnCredit(now);
         ++activity_.bypassTraversals;
     }
-    ++activity_.gatedCycles;
 }
 
 void
@@ -169,10 +225,10 @@ Router::tickAllocate(Cycle now)
 
         std::uint32_t out_port;
         if (flit.head) {
-            out_port = routeFn_(flit.msg);
-            if (out_port >= params_.numOutPorts)
-                panic("router '%s': route to invalid port %u",
-                      params_.name.c_str(), out_port);
+            if (flit.msg.dst >= route_.size())
+                panic("router '%s': no route to destination %u",
+                      params_.name.c_str(), flit.msg.dst);
+            out_port = route_[flit.msg.dst];
             // A head flit may only compete for an unlocked output.
             if (outputs_[out_port].lockedBy != kInvalidId)
                 continue;
@@ -229,11 +285,10 @@ Router::tickAllocate(Cycle now)
         if (in.in != nullptr)
             in.in->returnCredit(now);
     }
-    ++activity_.activeCycles;
 }
 
 void
-Router::saveCkpt(CkptWriter &w) const
+Router::saveCkpt(CkptWriter &w, std::uint64_t cycles) const
 {
     w.b(bypass_);
     for (const InputPort &in : inputs_) {
@@ -248,7 +303,7 @@ Router::saveCkpt(CkptWriter &w) const
         out.arb.saveCkpt(w);
         w.u32(out.lockedBy);
     }
-    ckptValue(w, activity_);
+    ckptValue(w, activity(cycles));
 }
 
 void
@@ -281,6 +336,7 @@ Router::loadCkpt(CkptReader &r)
             r.fail("router output lock out of range");
     }
     ckptValue(r, activity_);
+    accountedTo_ = 0;
 }
 
 void
@@ -292,15 +348,8 @@ Router::tick(Cycle now)
             out.out->tickSender(now);
     }
     acceptArrivals(now);
-    if (bufferedFlits_ == 0) {
-        // Empty router: allocation (or the bypass walk) cannot move
-        // anything and mutates no state beyond the cycle counters.
-        if (bypass_)
-            ++activity_.gatedCycles;
-        else
-            ++activity_.activeCycles;
-        return;
-    }
+    if (bufferedFlits_ == 0)
+        return; // allocation (or the bypass walk) cannot move anything
     if (bypass_)
         tickBypass(now);
     else

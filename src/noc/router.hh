@@ -21,6 +21,14 @@
  * the router is considered power-gated and traffic is accounted as
  * bypass traversals. (*Structurally flits still pass through the
  * input FIFO object, but no buffer energy is charged.)
+ *
+ * Routing is a table indexed by the head flit's `msg.dst`: every
+ * shipped topology routes as a pure function of the destination, so
+ * the table is built and port-checked once by the topology.
+ *
+ * Active and gated cycles are accounted lazily against the owning
+ * network's cycle count: the router is ticked only while it has work,
+ * yet every network cycle counts as active, or as gated under bypass.
  */
 
 #ifndef AMSC_NOC_ROUTER_HH
@@ -28,12 +36,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/ckpt.hh"
 #include "common/types.hh"
+#include "noc/active_set.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
 #include "noc/message.hh"
@@ -64,11 +72,10 @@ class Router
 {
   public:
     /**
-     * Routing function: maps a head flit's message to an output port.
+     * @param route output port per head-flit `msg.dst`; every entry
+     *              must name an existing output port.
      */
-    using RouteFn = std::function<std::uint32_t(const NocMessage &)>;
-
-    Router(const RouterParams &params, RouteFn route_fn);
+    Router(const RouterParams &params, std::vector<std::uint32_t> route);
 
     /** Attach the upstream channel feeding input @p port. */
     void connectInput(std::uint32_t port, FlitChannel *channel);
@@ -76,16 +83,23 @@ class Router
     /** Attach the downstream channel driven by output @p port. */
     void connectOutput(std::uint32_t port, FlitChannel *channel);
 
+    /**
+     * Bind the owning crossbar's active-set bit: a flit sent on an
+     * input channel and a credit returned on an output channel set it.
+     */
+    void bindActive(ActiveBit bit);
+
     /** Advance one cycle. */
     void tick(Cycle now);
 
     /**
-     * Enable/disable the bypass path.
+     * Enable/disable the bypass path. The active/gated cycles up to
+     * network cycle count @p cycles are accounted to the old mode.
      *
      * @pre router is square (numInPorts == numOutPorts) and gateable.
      * @pre drained() -- the reconfiguration protocol drains first.
      */
-    void setBypass(bool enable);
+    void setBypass(bool enable, std::uint64_t cycles);
 
     bool bypassed() const { return bypass_; }
 
@@ -93,37 +107,28 @@ class Router
     bool drained() const;
 
     /**
-     * Earliest cycle a tick() could move a flit out of an input
-     * buffer; kNoCycle when no buffered flit can ever move without an
-     * external event first. Exact per input: a head-of-line flit
-     * moves at max(pipeline eligibility, downstream sendable cycle).
-     * Inputs whose movement is gated on someone else's event are
-     * skipped soundly:
+     * Work for tick(): a buffered flit, a flit in flight on an input
+     * channel or a credit in flight back on an output channel. When
+     * false, tick() is a no-op.
+     */
+    bool busy() const;
+
+    /**
+     * Earliest cycle a tick() could change state; kNoCycle when
+     * nothing can happen without an external event first. Covers the
+     * router's channel fronts -- flit arrivals on its inputs and
+     * credit returns on its outputs -- and its head-of-line flits.
+     * Exact per input: a head-of-line flit moves at max(pipeline
+     * eligibility, downstream sendable cycle). Inputs whose movement
+     * is gated on someone else's event are skipped soundly:
      *  - a head flit facing a locked output (the lock releases only
      *    when the holder's tail traverses -- that input's own event --
      *    and the request phase sees the lock before the grant phase
      *    clears it, so same-cycle unlock-and-move cannot happen);
      *  - an output with zero banked credits and none in flight
      *    (credits reappear only after a downstream buffer pop).
-     * Channel flit arrivals are NOT included here -- the owning
-     * network takes the min over every channel's nextArrivalCycle()
-     * directly, which covers acceptArrivals() for all inputs.
      */
     Cycle nextEventCycle() const;
-
-    /**
-     * Account @p n skipped idle ticks: tick() unconditionally counts
-     * one active (or gated, under bypass) cycle, so an external
-     * fast-forward over drained cycles must add the same amount.
-     */
-    void
-    skipIdleCycles(Cycle n)
-    {
-        if (bypass_)
-            activity_.gatedCycles += n;
-        else
-            activity_.activeCycles += n;
-    }
 
     /** Buffer depth seen by upstream credit counters. */
     std::uint32_t
@@ -133,15 +138,23 @@ class Router
     }
 
     const RouterParams &params() const { return params_; }
-    const RouterActivity &activity() const { return activity_; }
+
+    /**
+     * Activity counters with every network cycle up to the count
+     * @p cycles accounted as active, or gated under bypass.
+     */
+    RouterActivity activity(std::uint64_t cycles) const;
 
     /**
      * Serialize input buffers, wormhole locks, arbiter pointers, the
-     * bypass flag and activity counters (geometry is structural).
+     * bypass flag and activity(@p cycles) (geometry is structural).
      */
-    void saveCkpt(CkptWriter &w) const;
+    void saveCkpt(CkptWriter &w, std::uint64_t cycles) const;
 
-    /** Restore state written by saveCkpt(). */
+    /**
+     * Restore state written by saveCkpt(); the owning network's cycle
+     * count restarts from zero.
+     */
     void loadCkpt(CkptReader &r);
 
   private:
@@ -167,16 +180,18 @@ class Router
     void tickAllocate(Cycle now);
 
     RouterParams params_;
-    RouteFn routeFn_;
+    std::vector<std::uint32_t> route_;
     std::vector<InputPort> inputs_;
     std::vector<OutputPort> outputs_;
     bool bypass_ = false;
     RouterActivity activity_;
+    /** Network cycle count activity_'s active/gated cycles cover. */
+    std::uint64_t accountedTo_ = 0;
     /**
      * Flits across all input buffers. Gates the allocation scan: with
      * zero buffered flits, request/grant phases are provable no-ops
-     * (the arbiter pointer only moves on grant), so tick() can skip
-     * straight to the per-cycle activity accounting.
+     * (the arbiter pointer only moves on grant), so tick() returns
+     * right after absorbing credits and arrivals.
      */
     std::uint32_t bufferedFlits_ = 0;
     // Per-tick scratch: output requested by each input (kInvalidId =

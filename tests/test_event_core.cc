@@ -24,6 +24,11 @@
  *    jumps across them, the bytes match tick-mode bytes, and a
  *    checkpoint taken under one driver restores under the other
  *    (sim_mode is identity-excluded) to a bit-identical end state.
+ *  - the active-set crossbars: zero-latency links, whose same-tick
+ *    wake order only an index-ordered walk reproduces, are pinned by
+ *    a golden CSV under both drivers; and the lazily accounted
+ *    router cycles cover every network cycle across private-mode
+ *    toggles, event jumps and a restore.
  *
  * The contract checker here is the Debug-build backstop for the
  * per-component nextEventCycle implementations: a component that
@@ -34,6 +39,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -42,7 +48,10 @@
 #include "common/ckpt.hh"
 #include "noc/network_factory.hh"
 #include "scenario/diff_fuzz.hh"
+#include "scenario/emit.hh"
+#include "scenario/scenario.hh"
 #include "sim/gpu_system.hh"
+#include "sim/sweep.hh"
 #include "workloads/trace_gen.hh"
 
 namespace amsc
@@ -666,6 +675,121 @@ TEST(EventCore, CheckpointRestoresAcrossDriversOnCrossbars)
             std::remove(wc.checkpointPath.c_str());
         }
     }
+}
+
+// ------------------------------------------ active-set crossbars
+
+TEST(EventCore, ZeroLatencyLinksMatchGolden)
+{
+    // With zero-latency links a flit sent in a tick arrives in that
+    // same tick, so a router, ejector or distributor woken by an
+    // earlier component must still run in it -- only a walk in full
+    // scan order reproduces that. The golden CSV was generated by
+    // the full-scan crossbars; both drivers must reproduce it on all
+    // three flit topologies.
+    const scenario::Scenario scn = scenario::Scenario::fromKv(
+        scenario::Scenario::parseScnText(R"(
+name = zero_latency_links
+config {
+  num_sms = 16
+  num_clusters = 4
+  num_mcs = 4
+  slices_per_mc = 4
+  short_link_latency = 0
+  long_link_latency = 0
+  llc_policy = adaptive
+  max_cycles = 20000
+  profile_len = 1000
+  epoch_len = 10000
+}
+app {
+  workload = AN
+}
+sweep {
+  noc = full, cxbar, hxbar
+  sim_mode = tick, event
+}
+)",
+                                         "zero_latency_links.scn"),
+        "zero_latency_links.scn");
+    const std::vector<scenario::ExpandedPoint> points = scn.expand();
+    ASSERT_EQ(points.size(), 6u);
+    std::vector<RunResult> results;
+    for (const scenario::ExpandedPoint &p : points)
+        results.push_back(SweepRunner::runPoint(p.point));
+    for (std::size_t i = 0; i < results.size(); i += 2)
+        EXPECT_TRUE(identicalResults(results[i], results[i + 1]))
+            << points[i].point.label;
+
+    const std::string csv =
+        scenario::emitCsv(scenario::emitPoints(points), results);
+    const std::string path = std::string(AMSC_SOURCE_DIR) +
+        "/tests/golden/zero_latency_links.csv";
+    if (std::getenv("AMSC_UPDATE_GOLDEN")) {
+        std::ofstream(path, std::ios::binary) << csv;
+        return;
+    }
+    EXPECT_EQ(slurpFile(path), csv)
+        << "run with AMSC_UPDATE_GOLDEN=1 only if the model changed";
+}
+
+TEST(EventCore, RouterCyclesCoverEveryNetworkCycle)
+{
+    // Routers are ticked only while they have work; their active and
+    // gated cycles are accounted lazily from the network's cycle
+    // count. Every router must still account every cycle exactly
+    // once, as active or as gated, across private-mode toggles,
+    // event jumps, and a restore from a checkpoint taken while the
+    // network sat idle.
+    SimConfig cfg = smallConfig();
+    cfg.topology = NocTopology::Hierarchical;
+    cfg.llcPolicy = LlcPolicy::Adaptive;
+    cfg.missTolerance = 0.3; // cross reconfigurations at this scale
+    cfg.simMode = SimMode::Event;
+
+    const auto expectCovered = [](const RunResult &r,
+                                  const std::string &label) {
+        ASSERT_FALSE(r.nocActivity.routers.empty()) << label;
+        std::uint64_t gated = 0;
+        for (const RouterActivity &ra : r.nocActivity.routers) {
+            EXPECT_EQ(ra.activeCycles + ra.gatedCycles, r.cycles)
+                << label;
+            gated += ra.gatedCycles;
+        }
+        EXPECT_GT(gated, 0u) << label << ": private mode never gated";
+    };
+
+    GpuSystem unbroken(cfg);
+    unbroken.setWorkload(0, broadcastWorkload(5));
+    const RunResult ref = unbroken.run();
+    ASSERT_GT(ref.llcCtrl.transitionsToPrivate, 0u);
+    ASSERT_GT(unbroken.eventJumps(), 0u);
+    expectCovered(ref, "unbroken");
+
+    // Run the first cycle (the initial launches), tick until the
+    // network has carried traffic and drained again, checkpoint
+    // there and finish the run from the restore.
+    SimConfig head = cfg;
+    head.maxCycles = 1;
+    GpuSystem first(head);
+    first.setWorkload(0, broadcastWorkload(5));
+    first.run();
+    bool carried = false;
+    do {
+        first.step(1);
+        carried = carried || !first.network().drained();
+    } while (!carried || !first.network().drained());
+    ASSERT_LT(first.now(), ref.cycles);
+    std::stringstream ckpt;
+    first.checkpoint(ckpt);
+
+    GpuSystem resumed(cfg);
+    resumed.setWorkload(0, broadcastWorkload(5));
+    resumed.restore(ckpt);
+    const RunResult cont = resumed.run();
+    EXPECT_TRUE(identicalResults(ref, cont))
+        << "restore at idle cycle " << first.now() << " diverged";
+    expectCovered(cont, "restored");
 }
 
 } // namespace amsc

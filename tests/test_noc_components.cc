@@ -178,14 +178,14 @@ TEST(Endpoint, EjectionBackpressureStopsReceiving)
     }
     // Only one message fits; the rest is stuck behind backpressure.
     EXPECT_TRUE(ej.hasMessage());
-    EXPECT_EQ(ej.queueSize(), 1u);
+    EXPECT_EQ(ej.parked(), 1u);
     EXPECT_FALSE(inj.drained() && ch.quiescent());
     // Draining the consumer unblocks the pipeline.
     EXPECT_EQ(ej.pop().token, 0u);
     for (Cycle c = 30; c < 60; ++c) {
         inj.tick(c);
         ej.tick(c);
-        if (ej.hasMessage() && ej.queueSize() == 1)
+        if (ej.hasMessage() && ej.parked() == 1)
             ej.pop();
     }
     EXPECT_TRUE(inj.drained());
@@ -306,12 +306,21 @@ struct RouterRig
         : rp(makeParams(ports, gateable)),
           in(ports, FlitChannel(1, 1, rp.vcDepthFlits, 1.0, 32)),
           out(ports, FlitChannel(1, 1, 8, 1.0, 32)),
-          router(rp, [](const NocMessage &m) { return m.dst; })
+          router(rp, identityRoute(ports))
     {
         for (std::uint32_t p = 0; p < ports; ++p) {
             router.connectInput(p, &in[p]);
             router.connectOutput(p, &out[p]);
         }
+    }
+
+    static std::vector<std::uint32_t>
+    identityRoute(std::uint32_t ports)
+    {
+        std::vector<std::uint32_t> route(ports);
+        for (std::uint32_t dst = 0; dst < ports; ++dst)
+            route[dst] = dst;
+        return route;
     }
 
     static RouterParams
@@ -359,7 +368,7 @@ TEST(Router, SingleFlitTraversalLatency)
     // wire(1) + pipeline(3) + ST grant + wire(1) ~= 6 cycles.
     EXPECT_GT(arrived, 3u);
     EXPECT_LE(arrived, 8u);
-    EXPECT_EQ(rig.router.activity().xbarTraversals, 1u);
+    EXPECT_EQ(rig.router.activity(arrived).xbarTraversals, 1u);
 }
 
 TEST(Router, OutputContentionSerializes)
@@ -377,7 +386,7 @@ TEST(Router, OutputContentionSerializes)
         }
     }
     EXPECT_EQ(delivered, 2);
-    EXPECT_EQ(rig.router.activity().bufferWrites, 2u);
+    EXPECT_EQ(rig.router.activity(30).bufferWrites, 2u);
 }
 
 TEST(Router, WormholeHoldsOutputForWholePacket)
@@ -439,7 +448,7 @@ TEST(Router, BackpressureWhenNoCredit)
 TEST(Router, BypassConnectsIToI)
 {
     RouterRig rig(2, true);
-    rig.router.setBypass(true);
+    rig.router.setBypass(true, 0);
     // In bypass, routing is positional: flit at input 0 exits output
     // 0 even though its dst says 1.
     rig.in[0].send(headTail(1), 0);
@@ -452,16 +461,19 @@ TEST(Router, BypassConnectsIToI)
     }
     EXPECT_TRUE(at0);
     EXPECT_FALSE(at1);
-    EXPECT_EQ(rig.router.activity().bypassTraversals, 1u);
-    EXPECT_EQ(rig.router.activity().xbarTraversals, 0u);
-    EXPECT_GT(rig.router.activity().gatedCycles, 0u);
+    const RouterActivity act = rig.router.activity(20);
+    EXPECT_EQ(act.bypassTraversals, 1u);
+    EXPECT_EQ(act.xbarTraversals, 0u);
+    // Every cycle of the 20-cycle run counts as gated under bypass.
+    EXPECT_EQ(act.gatedCycles, 20u);
+    EXPECT_EQ(act.activeCycles, 0u);
 }
 
 TEST(Router, BypassFasterThanPipeline)
 {
     RouterRig normal(2, true);
     RouterRig gated(2, true);
-    gated.router.setBypass(true);
+    gated.router.setBypass(true, 0);
 
     normal.in[0].send(headTail(0), 0);
     gated.in[0].send(headTail(0), 0);
