@@ -1,20 +1,20 @@
 /**
  * @file
- * Active sets for the flit crossbars.
+ * Active sets: tick and advertise only the components with work.
  *
- * A crossbar keeps one ordered bitmask per component class (sources,
- * routers, sinks). A component's bit is set while it has anything
- * queued, buffered or in flight on its channels, and clear otherwise,
- * so tick() visits only the set bits and skipping a clear one is
- * provably a no-op. Bits are set by the events that create work --
- * a flit sent on a channel wakes its receiver, a returned credit
- * wakes its sender, an injected message wakes its source -- and
- * cleared only by the owning component's own tick, the one place
- * work can drain.
+ * A component class (crossbar sources, routers and sinks; SMs; LLC
+ * slices) keeps one ordered bitmask with a bit per component. The bit
+ * is set while the component has work for its tick -- anything
+ * queued, buffered or in flight -- so a walk visits only the set bits
+ * and skipping a clear one is provably a no-op. Bits are set by the
+ * events that create work (a flit sent on a channel wakes its
+ * receiver, a delivered reply wakes its SM, an arriving request wakes
+ * its slice) and cleared only by the owning component's own tick,
+ * the one place work can drain.
  */
 
-#ifndef AMSC_NOC_ACTIVE_SET_HH
-#define AMSC_NOC_ACTIVE_SET_HH
+#ifndef AMSC_COMMON_ACTIVE_SET_HH
+#define AMSC_COMMON_ACTIVE_SET_HH
 
 #include <cstddef>
 #include <cstdint>
@@ -125,10 +125,28 @@ class ActiveSet
         }
     }
 
+    /**
+     * Call @p pred(i) for the active components in index order until
+     * one returns true. @return whether any did.
+     */
+    template <class F>
+    bool
+    anyOf(F &&pred) const
+    {
+        for (std::size_t w = 0; w < words_.size(); ++w) {
+            for (std::uint64_t live = words_[w]; live != 0;
+                 live &= live - 1) {
+                if (pred(w * 64 + __builtin_ctzll(live)))
+                    return true;
+            }
+        }
+        return false;
+    }
+
   private:
     std::vector<std::uint64_t> words_;
 };
 
 } // namespace amsc
 
-#endif // AMSC_NOC_ACTIVE_SET_HH
+#endif // AMSC_COMMON_ACTIVE_SET_HH

@@ -173,6 +173,15 @@ class DelayQueue
             fn(e.second);
     }
 
+    /** Call @p fn(readyCycle, item) for every item, front first. */
+    template <typename Fn>
+    void
+    forEachTimed(Fn &&fn) const
+    {
+        for (const auto &[ready, item] : q_)
+            fn(ready, item);
+    }
+
   private:
     std::size_t capacity_;
     std::deque<std::pair<Cycle, T>> q_;

@@ -136,6 +136,21 @@ class LlcSlice
     bool drained() const;
 
     /**
+     * Work for tick(): a stalled request, a queued write-back, miss
+     * or reply, or a request deliverable from the network. A slice
+     * that is not busy ticks as a no-op until a request arrives, a
+     * DRAM reply fills it or a write-back pass starts (LlcSystem's
+     * active set). Outstanding MSHRs alone wait on DRAM.
+     */
+    bool
+    busy() const
+    {
+        return stalledReq_.has_value() || !writebackQueue_.empty() ||
+            !missQueue_.empty() || !replyQueue_.empty() ||
+            net_->hasRequestFor(params_.id);
+    }
+
+    /**
      * Earliest cycle >= @p now whose tick() is not a no-op. A
      * stalled request (its retry touches tag recency), a pending
      * write-back and a waiting network request (both probe
@@ -146,7 +161,6 @@ class LlcSlice
     Cycle nextEventCycle(Cycle now) const;
 
     const LlcSliceStats &stats() const { return stats_; }
-    void clearStats() { stats_ = LlcSliceStats{}; }
     SliceId id() const { return params_.id; }
     const LlcSliceParams &params() const { return params_; }
     const TagArray &tags() const { return tags_; }

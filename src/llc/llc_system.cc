@@ -75,6 +75,10 @@ LlcSystem::LlcSystem(const LlcParams &params,
                 tracker_.onAccess(line, cl, now);
             });
     }
+    // Handles point into the set: size it once, then bind.
+    activeSlices_.resize(num_slices);
+    for (SliceId s = 0; s < num_slices; ++s)
+        net_->bindRequestWake(s, activeSlices_.bit(s));
 
     // Static per-app modes; the adaptive policy (single-app only)
     // starts shared and profiles.
@@ -301,8 +305,13 @@ LlcSystem::enterShared(Cycle now)
 void
 LlcSystem::tick(Cycle now)
 {
-    for (auto &s : slices_)
-        s->tick(now);
+    activeSlices_.walk([&](std::size_t i) {
+        LlcSlice &s = *slices_[i];
+        const std::uint64_t atomics = s.stats().atomics;
+        s.tick(now);
+        atomics_ += s.stats().atomics - atomics;
+        return s.busy();
+    });
 
     if (mapper_.mode(adaptiveApp()) == LlcMode::Private)
         ++stats_.cyclesPrivate;
@@ -333,8 +342,11 @@ LlcSystem::tick(Cycle now)
 
       case CtrlState::DrainToPrivate:
         if (quiescent_() && drained()) {
-            for (auto &s : slices_)
-                s->startWritebackAll(now);
+            for (SliceId s = 0; s < slices_.size(); ++s) {
+                slices_[s]->startWritebackAll(now);
+                if (slices_[s]->busy())
+                    activeSlices_.assign(s, true);
+            }
             setState(CtrlState::Writeback, now);
         }
         break;
@@ -442,14 +454,35 @@ LlcSystem::nextEventCycle(Cycle now) const
     Cycle e = nextCtrlEventCycle(now);
     if (e <= now)
         return now;
-    for (const auto &s : slices_) {
-        const Cycle se = s->nextEventCycle(now);
-        if (se <= now)
-            return now;
+    const bool due = activeSlices_.anyOf([&](std::size_t i) {
+        const Cycle se = slices_[i]->nextEventCycle(now);
         e = std::min(e, se);
-    }
-    return e;
+        return se <= now;
+    });
+    return due ? now : e;
 }
+
+#ifndef NDEBUG
+void
+LlcSystem::checkActiveSlices(Cycle now) const
+{
+    Cycle e = nextCtrlEventCycle(now);
+    std::uint64_t atomics = 0;
+    for (SliceId s = 0; s < slices_.size(); ++s) {
+        const LlcSlice &slice = *slices_[s];
+        if (slice.busy() && !activeSlices_.test(s))
+            panic("LLC slice %u has work but is not active", s);
+        e = std::min(e, slice.nextEventCycle(now));
+        atomics += slice.stats().atomics;
+    }
+    if (e != nextEventCycle(now))
+        panic("LLC nextEventCycle() disagrees with a full scan");
+    if (atomics != atomics_)
+        panic("LLC atomics total %llu, slices hold %llu",
+              static_cast<unsigned long long>(atomics_),
+              static_cast<unsigned long long>(atomics));
+}
+#endif
 
 void
 LlcSystem::onDramReply(Addr line_addr, std::uint64_t token, Cycle now)
@@ -459,6 +492,7 @@ LlcSystem::onDramReply(Addr line_addr, std::uint64_t token, Cycle now)
         panic("DRAM reply for unknown slice token %llu",
               static_cast<unsigned long long>(token));
     slices_[s]->onDramReply(line_addr, now);
+    activeSlices_.assign(s, true);
 }
 
 void
@@ -488,15 +522,6 @@ LlcSystem::drained() const
             return false;
     }
     return true;
-}
-
-std::uint64_t
-LlcSystem::totalAtomics() const
-{
-    std::uint64_t n = 0;
-    for (const auto &s : slices_)
-        n += s->stats().atomics;
-    return n;
 }
 
 std::uint64_t
@@ -616,8 +641,13 @@ LlcSystem::loadCkpt(CkptReader &r)
     mapper_.loadCkpt(r);
     profiler_.loadCkpt(r);
     tracker_.loadCkpt(r);
-    for (auto &s : slices_)
-        s->loadCkpt(r);
+    atomics_ = 0;
+    for (SliceId s = 0; s < slices_.size(); ++s) {
+        slices_[s]->loadCkpt(r);
+        // The network is restored first, so busy() sees its requests.
+        activeSlices_.assign(s, slices_[s]->busy());
+        atomics_ += slices_[s]->stats().atomics;
+    }
     const std::uint8_t st = r.u8();
     if (st > static_cast<std::uint8_t>(CtrlState::UngateWait))
         r.fail("bad LLC controller state");

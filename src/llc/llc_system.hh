@@ -31,6 +31,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/active_set.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "llc/llc_slice.hh"
@@ -174,7 +175,14 @@ class LlcSystem
      */
     SliceId sliceFor(Addr line_addr, ClusterId cluster, AppId app);
 
-    /** Advance one cycle (slices + controller FSM). */
+    /**
+     * Advance one cycle: tick the active slices in index order, then
+     * the controller FSM. A slice is active while busy() -- and a
+     * slice that is not busy ticks as a no-op -- so the others are
+     * skipped; request arrivals (Network::bindRequestWake), DRAM
+     * replies, write-back passes and restores set a slice's bit, and
+     * only its own tick clears it.
+     */
     void tick(Cycle now);
 
     /** Route a DRAM read completion to its slice. */
@@ -210,14 +218,15 @@ class LlcSystem
     /**
      * Earliest cycle >= @p now whose tick() is not a no-op beyond
      * the per-cycle mode counters advanceIdleCycles() compensates:
-     * the minimum over every slice's next event and the controller
-     * FSM's next action (profile window marks and deadlines, epoch
-     * ends, gate/ungate countdowns, pending reprofiles and atomic
-     * vetoes, and `now` in a quiescence-poll state whose condition
-     * already holds). The poll states return kNoCycle while their
-     * condition is false: the components being waited on then
-     * advertise finite events themselves, and the global minimum is
-     * recomputed after every live tick.
+     * the minimum over every active slice's next event (an inactive
+     * slice has none) and the controller FSM's next action (profile
+     * window marks and deadlines, epoch ends, gate/ungate
+     * countdowns, pending reprofiles and atomic vetoes, and `now` in
+     * a quiescence-poll state whose condition already holds). The
+     * poll states return kNoCycle while their condition is false:
+     * the components being waited on then advertise finite events
+     * themselves, and the global minimum is recomputed after every
+     * live tick.
      */
     Cycle nextEventCycle(Cycle now) const;
 
@@ -237,7 +246,11 @@ class LlcSystem
     }
 
     // ---- aggregate metrics ---------------------------------------
-    std::uint64_t totalAtomics() const;
+    /**
+     * Global atomics executed so far: a running total kept across
+     * slice ticks (the only place a slice executes one), O(1).
+     */
+    std::uint64_t totalAtomics() const { return atomics_; }
     std::uint64_t totalBypasses() const;
     std::uint64_t totalReads() const;
     std::uint64_t totalAccesses() const;
@@ -273,6 +286,15 @@ class LlcSystem
 
     /** Restore state written by saveCkpt(). */
     void loadCkpt(CkptReader &r);
+
+#ifndef NDEBUG
+    /**
+     * Debug reference: panics unless every busy slice is active,
+     * nextEventCycle(@p now) equals a scan of every slice and
+     * totalAtomics() equals the per-slice sum.
+     */
+    void checkActiveSlices(Cycle now) const;
+#endif
 
   private:
     /** Controller FSM states. */
@@ -323,6 +345,10 @@ class LlcSystem
     LlcProfiler profiler_;
     SharingTracker tracker_;
     std::vector<std::unique_ptr<LlcSlice>> slices_;
+    /** Slices with work for their tick (LlcSlice::busy()). */
+    ActiveSet activeSlices_;
+    /** Running sum of the slices' atomics (totalAtomics()). */
+    std::uint64_t atomics_ = 0;
 
     StallFn stall_;
     QuiescentFn quiescent_;

@@ -20,9 +20,9 @@
 
 #include <cstdint>
 
+#include "common/active_set.hh"
 #include "common/delay_queue.hh"
 #include "common/types.hh"
-#include "noc/active_set.hh"
 #include "noc/message.hh"
 
 namespace amsc

@@ -234,6 +234,8 @@ class DistributorAdapter final : public NocSink
         return pop(local);
     }
 
+    const NocMessage &lastCompleted() const override { return pending_; }
+
     bool
     drained() const override
     {

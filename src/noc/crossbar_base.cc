@@ -124,6 +124,8 @@ CrossbarBase::tick(Cycle now)
             ++parked_;
             if (i >= firstRepSink_)
                 repReady_.push_back(i);
+            else
+                wakeRequestConsumer(sink.lastCompleted().dst);
         }
         return sink.busy();
     });

@@ -11,7 +11,7 @@
  * Only components with work in flight are ticked. Three ordered
  * active sets -- sources, routers, sinks -- hold one bit per
  * component, set while it has anything queued, buffered or in flight
- * on its channels (see noc/active_set.hh). tick(), nextEventCycle()
+ * on its channels (see common/active_set.hh). tick(), nextEventCycle()
  * and drained() read those sets instead of scanning every component.
  */
 
@@ -21,7 +21,7 @@
 #include <memory>
 #include <vector>
 
-#include "noc/active_set.hh"
+#include "common/active_set.hh"
 #include "noc/channel.hh"
 #include "noc/endpoint.hh"
 #include "noc/network.hh"

@@ -28,10 +28,10 @@
 #include <cstdint>
 #include <deque>
 
+#include "common/active_set.hh"
 #include "common/ckpt.hh"
 #include "common/log.hh"
 #include "common/types.hh"
-#include "noc/active_set.hh"
 #include "noc/channel.hh"
 #include "noc/message.hh"
 
@@ -110,6 +110,12 @@ class NocSink
      * one. @pre parked() > 0.
      */
     virtual NocMessage popNext() = 0;
+
+    /**
+     * The message the last tick() completed (its reassembly latch).
+     * @pre the last tick() returned true.
+     */
+    virtual const NocMessage &lastCompleted() const = 0;
 
     virtual void saveCkpt(CkptWriter &w) const = 0;
     virtual void loadCkpt(CkptReader &r) = 0;
@@ -260,6 +266,8 @@ class EjectionAdapter final : public NocSink
     }
 
     NocMessage popNext() override { return pop(); }
+
+    const NocMessage &lastCompleted() const override { return pending_; }
 
     bool drained() const override { return msgs_.empty(); }
 

@@ -24,6 +24,13 @@ IdealNetwork::injectRequest(NocMessage msg, Cycle now)
     ++reqStats_.messagesInjected;
     msg.injectCycle = now;
     toSlice_[msg.dst].push(msg, now, params_.idealLatency);
+    // A slice sees requests ready by the last network tick; with a
+    // zero latency that is already this one.
+    const Cycle ready = now + params_.idealLatency;
+    if (ready <= now_)
+        wakeRequestConsumer(msg.dst);
+    else
+        reqArrivals_.emplace_back(ready, msg.dst);
 }
 
 bool
@@ -75,6 +82,10 @@ void
 IdealNetwork::tick(Cycle now)
 {
     now_ = now;
+    while (!reqArrivals_.empty() && reqArrivals_.front().first <= now) {
+        wakeRequestConsumer(reqArrivals_.front().second);
+        reqArrivals_.pop_front();
+    }
     if (!replyHandler_)
         return;
     for (auto &q : toSm_) {
@@ -143,6 +154,19 @@ IdealNetwork::loadCkpt(CkptReader &r)
         q.loadCkpt(r);
     for (auto &q : toSm_)
         q.loadCkpt(r);
+    // Requests already deliverable are their consumer's own work
+    // (restored with it); only future arrivals need a wake.
+    reqArrivals_.clear();
+    for (SliceId s = 0; s < toSlice_.size(); ++s) {
+        toSlice_[s].forEachTimed([&](Cycle ready, const NocMessage &) {
+            if (ready > now_)
+                reqArrivals_.emplace_back(ready, s);
+        });
+    }
+    std::stable_sort(reqArrivals_.begin(), reqArrivals_.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
 }
 
 } // namespace amsc

@@ -9,6 +9,8 @@
 #ifndef AMSC_NOC_IDEAL_NETWORK_HH
 #define AMSC_NOC_IDEAL_NETWORK_HH
 
+#include <deque>
+#include <utility>
 #include <vector>
 
 #include "common/delay_queue.hh"
@@ -45,6 +47,13 @@ class IdealNetwork : public Network
     Cycle now_ = 0;
     std::vector<DelayQueue<NocMessage>> toSlice_;
     std::vector<DelayQueue<NocMessage>> toSm_;
+    /**
+     * (ready cycle, slice) of every request not yet deliverable, in
+     * ready order -- the latency is fixed, so injection order is
+     * ready order. tick() wakes each slice's consumer at its
+     * request's ready cycle without scanning the per-slice queues.
+     */
+    std::deque<std::pair<Cycle, SliceId>> reqArrivals_;
 };
 
 } // namespace amsc

@@ -17,7 +17,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
+#include "common/active_set.hh"
 #include "common/ckpt.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
@@ -78,6 +80,21 @@ class Network
     void setReplyHandler(ReplyHandler fn)
     {
         replyHandler_ = std::move(fn);
+    }
+
+    /**
+     * Set @p bit whenever a request for @p slice becomes deliverable,
+     * so the consumer's next tick finds hasRequestFor() true. The
+     * crossbars set it when a request's tail completes in its sink;
+     * the ideal NoC at the request's ready cycle. A consumer that
+     * sleeps on an empty input thus wakes exactly when it must.
+     */
+    void
+    bindRequestWake(SliceId slice, ActiveBit bit)
+    {
+        if (slice >= requestWake_.size())
+            requestWake_.resize(slice + 1);
+        requestWake_[slice] = bit;
     }
 
     /** @return true if SM @p sm can inject another request. */
@@ -232,9 +249,19 @@ class Network
             now >= msg.injectCycle ? now - msg.injectCycle : 0;
     }
 
+    /** A request for @p slice became deliverable: wake its consumer. */
+    void
+    wakeRequestConsumer(SliceId slice) const
+    {
+        if (slice < requestWake_.size())
+            requestWake_[slice].set();
+    }
+
     NetworkStats reqStats_;
     NetworkStats repStats_;
     ReplyHandler replyHandler_;
+    /** Per-slice consumer wake bits (bindRequestWake). */
+    std::vector<ActiveBit> requestWake_;
 };
 
 } // namespace amsc

@@ -39,9 +39,9 @@
 #include <string>
 #include <vector>
 
+#include "common/active_set.hh"
 #include "common/ckpt.hh"
 #include "common/types.hh"
-#include "noc/active_set.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
 #include "noc/message.hh"

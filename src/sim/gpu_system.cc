@@ -147,11 +147,17 @@ GpuSystem::GpuSystem(const SimConfig &config) : config_(config)
         [this](SmId sm) { return smApp_[sm]; },
         [this](SmId sm) { return sm / config_.smsPerCluster(); });
 
+    // The LLC toggles the stall from inside its tick, before this
+    // cycle's SM walk; an unstalled SM with issuable work wakes.
     llc_->setHooks(
         [this](bool stalled) {
             smsStalled_ = stalled;
-            for (auto &sm : sms_)
-                sm->setStalled(stalled);
+            for (SmId id = 0; id < sms_.size(); ++id) {
+                settleSm(id, now_);
+                sms_[id]->setStalled(stalled);
+                if (sms_[id]->nextEventCycle(now_) != kNoCycle)
+                    activeSms_.assign(id, true);
+            }
         },
         [this]() { return net_->drained() && mem_->drained(); });
 
@@ -174,11 +180,16 @@ GpuSystem::GpuSystem(const SimConfig &config) : config_(config)
         });
         sms_.back()->setRetiredCounter(&instrRetired_);
     }
+    activeSms_.resize(sms_.size());
+    smIdleFrom_.assign(sms_.size(), 0);
 
     // Replies go straight from the NoC into the owning SM the cycle
-    // they become deliverable (no per-SM polling in tickOnce).
+    // they become deliverable (no per-SM polling in tickOnce), and
+    // wake it for this cycle's SM walk.
     net_->setReplyHandler([this](const NocMessage &msg, Cycle now) {
+        settleSm(msg.dst, now);
         sms_[msg.dst]->onReply(msg, now);
+        activeSms_.assign(msg.dst, true);
     });
 
     programs_.resize(apps);
@@ -188,6 +199,30 @@ GpuSystem::GpuSystem(const SimConfig &config) : config_(config)
 }
 
 GpuSystem::~GpuSystem() = default;
+
+Sm &
+GpuSystem::sm(SmId id)
+{
+    settleSm(id, now_);
+    return *sms_[id];
+}
+
+void
+GpuSystem::settleSm(SmId id, Cycle upto) const
+{
+    Cycle &from = smIdleFrom_[id];
+    if (upto > from) {
+        sms_[id]->advanceIdleCycles(upto - from);
+        from = upto;
+    }
+}
+
+void
+GpuSystem::settleAllSms() const
+{
+    for (SmId id = 0; id < sms_.size(); ++id)
+        settleSm(id, now_);
+}
 
 void
 GpuSystem::setWorkload(AppId app, std::vector<KernelInfo> kernels)
@@ -219,7 +254,8 @@ GpuSystem::setProgram(AppId app,
 }
 
 void
-GpuSystem::launchKernel(AppId app, const KernelInfo &kernel)
+GpuSystem::launchKernel(AppId app, const KernelInfo &kernel,
+                        Cycle sm_from)
 {
     const std::vector<SmId> &app_sms = appSms_[app];
     // The app's SM list is cluster-major; its per-cluster width is
@@ -231,8 +267,12 @@ GpuSystem::launchKernel(AppId app, const KernelInfo &kernel)
     const auto assignment = assignCtas(
         config_.ctaPolicy, kernel.numCtas,
         static_cast<std::uint32_t>(app_sms.size()), app_spc, app_sms);
-    for (std::size_t i = 0; i < app_sms.size(); ++i)
-        sms_[app_sms[i]]->launchKernel(&kernel, assignment[i], now_);
+    for (std::size_t i = 0; i < app_sms.size(); ++i) {
+        const SmId id = app_sms[i];
+        settleSm(id, sm_from);
+        sms_[id]->launchKernel(&kernel, assignment[i], now_);
+        activeSms_.assign(id, true);
+    }
     appRunning_[app] = true;
     launchedEver_[app] = true;
     // A kernel that assigns no work (or whose streams are all empty)
@@ -246,7 +286,7 @@ GpuSystem::launchKernel(AppId app, const KernelInfo &kernel)
 }
 
 void
-GpuSystem::manageKernels()
+GpuSystem::manageKernels(Cycle sm_from)
 {
     programWakeAt_ = kNoCycle;
     for (AppId app = 0; app < programs_.size(); ++app) {
@@ -280,7 +320,7 @@ GpuSystem::manageKernels()
                     sms_[sm]->flushL1();
                 llc_->onKernelLaunch(now_);
             }
-            launchKernel(app, *kernel);
+            launchKernel(app, *kernel, sm_from);
         } else if (prog->finished()) {
             appRetired_[app] = true;
             --unfinishedApps_;
@@ -328,11 +368,16 @@ GpuSystem::tickOnce()
     llc_->tick(now_);
     mem_->tick(now_);
     net_->tick(now_); // pushes delivered replies into the SMs
-    for (auto &sm : sms_)
-        sm->tick(now_);
+    activeSms_.walk([&](std::size_t i) {
+        settleSm(i, now_);
+        Sm &sm = *sms_[i];
+        sm.tick(now_);
+        smIdleFrom_[i] = now_ + 1;
+        return sm.nextEventCycle(now_ + 1) != kNoCycle;
+    });
     if (manageDirty_) {
         manageDirty_ = false;
-        manageKernels();
+        manageKernels(now_ + 1);
     }
     ++now_;
     // Disabled observers cost exactly this compare (nextObsAt_ =
@@ -342,6 +387,9 @@ GpuSystem::tickOnce()
         while (nextObsAt_ <= now_)
             nextObsAt_ += obsPeriod_;
     }
+#ifndef NDEBUG
+    checkActiveSets();
+#endif
 }
 
 void
@@ -367,12 +415,12 @@ GpuSystem::maybeFastForward()
         return;
     // In-flight L1 hit completions retire instructions even while the
     // SMs are stalled; slices with queued work pop it cycle by cycle.
-    if (!llc_->drained())
+    // (An SM with completions in flight is active.)
+    if (!llc_->drained() ||
+        activeSms_.anyOf([&](std::size_t i) {
+            return sms_[i]->hasPendingCompletions();
+        }))
         return;
-    for (const auto &sm : sms_) {
-        if (sm->hasPendingCompletions())
-            return;
-    }
     // A pending program arrival bounds the jump: the tick at the wake
     // cycle must run live so kernel management fires on schedule.
     const Cycle target = std::min({llc_->nextEventCycle(now_),
@@ -399,14 +447,15 @@ GpuSystem::eventNextCycle() const
 {
     // SMs first: while any scheduler can issue the minimum is `now`,
     // and the early exit keeps the busy-phase overhead near one
-    // inlined compare per call.
+    // inlined compare per call. An inactive SM has no event.
     Cycle e = kNoCycle;
-    for (const auto &sm : sms_) {
-        const Cycle se = sm->nextEventCycle(now_);
-        if (se <= now_)
-            return now_;
+    const bool sm_due = activeSms_.anyOf([&](std::size_t i) {
+        const Cycle se = sms_[i]->nextEventCycle(now_);
         e = std::min(e, se);
-    }
+        return se <= now_;
+    });
+    if (sm_due)
+        return now_;
     const Cycle me = mem_->nextEventCycle(now_);
     if (me <= now_)
         return now_;
@@ -459,12 +508,11 @@ GpuSystem::jumpToNextEvent()
     if (to <= now_ + 1)
         return;
     // Ticks in [now_, to) are no-ops apart from per-cycle activity
-    // counters; account those and jump. The tick at `to` runs live.
+    // counters; account those and jump (the SMs settle lazily). The
+    // tick at `to` runs live.
     const Cycle skipped = to - now_;
     llc_->advanceIdleCycles(skipped);
     net_->advanceIdleCycles(skipped);
-    for (auto &sm : sms_)
-        sm->advanceIdleCycles(skipped);
     now_ = to;
     ++jumpCount_;
     jumpedCycles_ += skipped;
@@ -476,7 +524,7 @@ GpuSystem::run()
     if (!started_) {
         started_ = true;
         manageDirty_ = false;
-        manageKernels(); // initial launches
+        manageKernels(now_); // initial launches
     }
     // Checkpoint grid points are absolute cycle numbers, so a
     // restored run continues the same schedule.
@@ -508,6 +556,7 @@ GpuSystem::run()
             instrRetired_ >= config_.maxInstructions)
             break;
     }
+    settleAllSms();
     return collect();
 }
 
@@ -623,6 +672,7 @@ GpuSystem::activeKernelOf(AppId app) const
 void
 GpuSystem::savePayload(CkptWriter &w) const
 {
+    settleAllSms();
     w.u64(now_);
     w.b(started_);
     w.b(smsStalled_);
@@ -699,8 +749,13 @@ GpuSystem::restore(std::istream &is)
         if (programs_[a])
             programs_[a]->loadCkpt(r);
     }
-    for (const auto &sm : sms_)
-        sm->loadCkpt(r, activeKernelOf(smApp_[sm->id()]));
+    for (SmId id = 0; id < sms_.size(); ++id) {
+        Sm &sm = *sms_[id];
+        sm.loadCkpt(r, activeKernelOf(smApp_[id]));
+        // The saved counters were settled up to now_.
+        smIdleFrom_[id] = now_;
+        activeSms_.assign(id, sm.nextEventCycle(now_) != kNoCycle);
+    }
     net_->loadCkpt(r);
     mem_->loadCkpt(r);
     llc_->loadCkpt(r);
@@ -716,9 +771,30 @@ GpuSystem::restore(std::istream &is)
     }
 }
 
+#ifndef NDEBUG
+void
+GpuSystem::checkActiveSets() const
+{
+    Cycle e = kNoCycle;
+    for (SmId id = 0; id < sms_.size(); ++id) {
+        const Cycle se = sms_[id]->nextEventCycle(now_);
+        if (se != kNoCycle && !activeSms_.test(id))
+            panic("SM%u has an event but is not active", id);
+        e = std::min(e, se);
+    }
+    llc_->checkActiveSlices(now_);
+    e = std::min({e, mem_->nextEventCycle(now_),
+                  net_->nextEventCycle(now_),
+                  llc_->nextEventCycle(now_)});
+    if (std::max(e, now_) != eventNextCycle())
+        panic("eventNextCycle() disagrees with a full scan");
+}
+#endif
+
 void
 GpuSystem::registerStats(StatSet &set) const
 {
+    settleAllSms();
     net_->registerStats(set);
     llc_->registerStats(set);
     mem_->registerStats(set);

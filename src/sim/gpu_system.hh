@@ -8,11 +8,13 @@
  * and assembles the run metrics the benches report.
  *
  * The cycle core is event-assisted: replies are pushed from the NoC
- * straight into the SMs (no per-SM polling), kernel management runs
- * only on kernel-state transitions, instruction retirement feeds a
- * running counter, and fully-quiescent reconfiguration stalls are
- * fast-forwarded. All of it is bit-exact with the naive per-cycle
- * loop (tests/test_perf_invariance.cc, docs/performance.md).
+ * straight into the SMs (no per-SM polling), only SMs with work are
+ * ticked (an ordered active set; their idle issue-stall cycles are
+ * settled lazily), kernel management runs only on kernel-state
+ * transitions, instruction retirement feeds a running counter, and
+ * fully-quiescent reconfiguration stalls are fast-forwarded. All of
+ * it is bit-exact with the naive per-cycle loop
+ * (tests/test_perf_invariance.cc, docs/performance.md).
  */
 
 #ifndef AMSC_SIM_GPU_SYSTEM_HH
@@ -24,6 +26,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/active_set.hh"
 #include "common/stats.hh"
 #include "gpu/sm.hh"
 #include "gpu/trace.hh"
@@ -159,7 +162,8 @@ class GpuSystem
     LlcSystem &llc() { return *llc_; }
     const LlcSystem &llc() const { return *llc_; }
     MemorySystem &memory() { return *mem_; }
-    Sm &sm(SmId id) { return *sms_[id]; }
+    /** SM @p id, its idle issue-stall cycles settled up to now(). */
+    Sm &sm(SmId id);
     std::uint32_t numSms() const
     {
         return static_cast<std::uint32_t>(sms_.size());
@@ -181,11 +185,12 @@ class GpuSystem
     /**
      * Earliest cycle >= now() at which any component's tick() is
      * not a no-op beyond the compensated per-cycle counters: the
-     * global minimum over the LLC (slices + controller FSM), DRAM,
-     * NoC and every SM. This is the sim_mode=event jump target; it
-     * is exposed publicly so the event-contract tests can assert
-     * that no component mutates observable state at a cycle the
-     * minimum skipped (tests/test_event_core.cc).
+     * global minimum over the LLC (active slices + controller FSM),
+     * DRAM, NoC and every active SM (an inactive one has no event).
+     * This is the sim_mode=event jump target; it is exposed publicly
+     * so the event-contract tests can assert that no component
+     * mutates observable state at a cycle the minimum skipped
+     * (tests/test_event_core.cc).
      */
     Cycle eventNextCycle() const;
 
@@ -215,7 +220,11 @@ class GpuSystem
      */
     void setCycleObserver(Cycle period, CycleObserver obs);
 
-    /** Register all statistics into @p set. */
+    /**
+     * Register all statistics into @p set. The SM issue-stall
+     * counters are settled here, after run() and by sm(); a dump
+     * after further step() calls reads them as last settled.
+     */
     void registerStats(StatSet &set) const;
 
     /**
@@ -252,8 +261,35 @@ class GpuSystem
     const KernelInfo *activeKernelOf(AppId app) const;
 
     void tickOnce();
-    void manageKernels();
-    void launchKernel(AppId app, const KernelInfo &kernel);
+    /**
+     * @p sm_from is the first cycle whose SM tick has not run yet
+     * (now_ before tickOnce's SM walk, now_ + 1 after it): launches
+     * settle the SMs' idle cycles up to it.
+     */
+    void manageKernels(Cycle sm_from);
+    void launchKernel(AppId app, const KernelInfo &kernel,
+                      Cycle sm_from);
+
+    /**
+     * Account SM @p id's issue-stall cycles for the ticks it slept
+     * through, [smIdleFrom_[id], @p upto). Nothing an idle tick reads
+     * changes while it sleeps, so one advanceIdleCycles() call covers
+     * them; every state change (reply, stall toggle, launch, its own
+     * tick) settles first. Const because it only makes the lazily
+     * kept counter exact (checkpoints settle before writing).
+     */
+    void settleSm(SmId id, Cycle upto) const;
+    /** settleSm() every SM up to now_. */
+    void settleAllSms() const;
+
+#ifndef NDEBUG
+    /**
+     * Debug reference: panics unless every SM with an event and
+     * every busy LLC slice is active, and eventNextCycle(), the LLC's
+     * nextEventCycle() and totalAtomics() equal full scans.
+     */
+    void checkActiveSets() const;
+#endif
     bool allWorkDone() const;
     /**
      * While every SM is stalled for an LLC reconfiguration and NoC,
@@ -280,6 +316,14 @@ class GpuSystem
     std::unique_ptr<MemorySystem> mem_;
     std::unique_ptr<LlcSystem> llc_;
     std::vector<std::unique_ptr<Sm>> sms_;
+    /**
+     * SMs ticked each cycle: set by a delivered reply, a kernel
+     * launch and an unstall with issuable work; cleared by the SM's
+     * own tick once Sm::nextEventCycle(now + 1) is kNoCycle.
+     */
+    ActiveSet activeSms_;
+    /** Per SM, the first cycle whose idle tick is not yet accounted. */
+    mutable std::vector<Cycle> smIdleFrom_;
     std::vector<AppId> smApp_;
     /** Per-app SM lists (cluster-major), built once at construction. */
     std::vector<std::vector<SmId>> appSms_;

@@ -7,8 +7,9 @@
  *    running to completion yields a RunResult *bit-identical* to the
  *    unbroken run -- across workload classes, multi-kernel
  *    sequences, atomics, the adaptive controller, multi-program
- *    partitions, record/replay workloads, fast-forward on/off and
- *    every mem_backend preset.
+ *    partitions, record/replay workloads, fast-forward on/off,
+ *    every mem_backend preset and open-loop serving with most SMs
+ *    and slices asleep.
  *  - Container integrity: any truncation, bit flip, version or
  *    config mismatch throws FormatError with the offending offset;
  *    a half-written checkpoint is never half-restored.
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
 #include <memory>
@@ -33,6 +35,7 @@
 #include "trace/recording_gen.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_writer.hh"
+#include "workloads/llm_inference.hh"
 #include "workloads/suite.hh"
 #include "workloads/trace_gen.hh"
 
@@ -290,6 +293,93 @@ TEST(CheckpointEquivalence, BeforeFirstTick)
     }
     const RunResult b = resumedRun(cfg, setup, os.str());
     EXPECT_TRUE(identicalResults(a, b));
+}
+
+TEST(CheckpointEquivalence, ServingMidIdle)
+{
+    // Open-loop serving leaves most SMs and LLC slices asleep (out of
+    // their active sets, idle cycles not yet settled) at any moment.
+    // A periodic checkpoint written mid-run must settle those cycles
+    // and restore the sleepers: the resumed run's RunResult, every
+    // SmStats and a final checkpoint's bytes equal the unbroken
+    // run's, under both drivers.
+    const std::string path = tmpPath("serving_mid_idle.ckpt");
+    LlmServingParams serving;
+    serving.ratePerKCycle = 0.5;
+    serving.tenants = 2;
+    serving.maxBatch = 1;
+    serving.totalRequests = 4;
+    serving.ctxTokens = 32;
+    serving.decodeTokens = 4;
+    serving.dModel = 256;
+    serving.layers = 2;
+    const SetupFn setup = [&serving](GpuSystem &gpu) {
+        gpu.setProgram(0, makeLlmInferenceProgram(serving));
+    };
+    const auto smStats = [](GpuSystem &gpu) {
+        CkptWriter w;
+        for (SmId s = 0; s < gpu.numSms(); ++s)
+            w.pod(gpu.sm(s).stats());
+        return w.takeBuffer();
+    };
+    const auto finalCheckpoint = [](const GpuSystem &gpu) {
+        std::ostringstream os;
+        gpu.checkpoint(os);
+        return os.str();
+    };
+
+    for (const SimMode mode : {SimMode::Tick, SimMode::Event}) {
+        SimConfig cfg = smallConfig();
+        cfg.maxCycles = 200000;
+        cfg.llcPolicy = LlcPolicy::Adaptive;
+        cfg.simMode = mode;
+        GpuSystem unbroken(cfg);
+        setup(unbroken);
+        const RunResult a = unbroken.run();
+        ASSERT_TRUE(a.finishedWork);
+
+        bool saw_mid_idle = false;
+        for (const Cycle k : {Cycle{3000}, Cycle{9000}, Cycle{20000}}) {
+            // The grid checkpoint at k lands inside the run, one tick
+            // before it ends.
+            SimConfig head = cfg;
+            head.maxCycles = k + 1;
+            head.checkpointEvery = k;
+            head.checkpointPath = path;
+            GpuSystem gpu(head);
+            setup(gpu);
+            gpu.run();
+            std::uint32_t asleep_sms = 0;
+            for (SmId s = 0; s < gpu.numSms(); ++s)
+                asleep_sms +=
+                    gpu.sm(s).nextEventCycle(k + 1) == kNoCycle;
+            std::uint32_t idle_slices = 0;
+            for (SliceId s = 0; s < gpu.llc().numSlices(); ++s)
+                idle_slices += !gpu.llc().slice(s).busy();
+            const bool unfinished = gpu.program(0)->servingStats()
+                ->requestsCompleted < serving.totalRequests;
+            saw_mid_idle = saw_mid_idle ||
+                (unfinished && asleep_sms * 2 > gpu.numSms() &&
+                 idle_slices * 2 > gpu.llc().numSlices());
+
+            GpuSystem resumed(cfg);
+            setup(resumed);
+            std::ifstream is(path, std::ios::binary);
+            ASSERT_TRUE(is.is_open()) << "no checkpoint at " << k;
+            resumed.restore(is);
+            const RunResult b = resumed.run();
+            EXPECT_TRUE(identicalResults(a, b)) << "restore at " << k;
+            EXPECT_EQ(smStats(unbroken), smStats(resumed))
+                << "restore at " << k;
+            EXPECT_EQ(finalCheckpoint(unbroken),
+                      finalCheckpoint(resumed))
+                << "restore at " << k;
+        }
+        // At least one snapshot must have caught requests in flight
+        // with most SMs and slices asleep, or this proves nothing.
+        EXPECT_TRUE(saw_mid_idle);
+    }
+    std::remove(path.c_str());
 }
 
 // ----------------------------------------------- periodic file writes

@@ -29,6 +29,9 @@
  *    a golden CSV under both drivers; and the lazily accounted
  *    router cycles cover every network cycle across private-mode
  *    toggles, event jumps and a restore.
+ *  - the active-set SMs and LLC slices: idle-heavy runs on three
+ *    NoCs are pinned, lazily settled idle counters included, by a
+ *    golden CSV under both drivers.
  *
  * The contract checker here is the Debug-build backstop for the
  * per-component nextEventCycle implementations: a component that
@@ -41,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,6 +56,7 @@
 #include "scenario/scenario.hh"
 #include "sim/gpu_system.hh"
 #include "sim/sweep.hh"
+#include "workloads/llm_inference.hh"
 #include "workloads/trace_gen.hh"
 
 namespace amsc
@@ -790,6 +795,117 @@ TEST(EventCore, RouterCyclesCoverEveryNetworkCycle)
     EXPECT_TRUE(identicalResults(ref, cont))
         << "restore at idle cycle " << first.now() << " diverged";
     expectCovered(cont, "restored");
+}
+
+TEST(EventCore, IdleCountersMatchGolden)
+{
+    // SMs and LLC slices with no work are neither ticked nor scanned,
+    // and a sleeping SM's issue stalls are settled lazily from the
+    // span it slept through. The golden CSV was generated by the
+    // all-SM/all-slice loops; on idle-heavy runs (a long ideal-NoC
+    // latency, one app retiring before its co-runner, open-loop
+    // serving with few busy SMs) both drivers must reproduce every
+    // emitted column (the LLC mode cycles among them) and the summed
+    // SM issue stalls.
+    struct Case
+    {
+        const char *name;
+        std::function<void(SimConfig &)> configure;
+        std::function<void(GpuSystem &)> install;
+    };
+    const std::vector<Case> cases = {
+        {"adaptive_broadcast",
+         [](SimConfig &cfg) {
+             cfg.llcPolicy = LlcPolicy::Adaptive;
+             cfg.missTolerance = 0.3; // cross reconfigurations
+         },
+         [](GpuSystem &gpu) {
+             gpu.setWorkload(0, broadcastWorkload(5));
+         }},
+        {"multiprogram",
+         [](SimConfig &cfg) {
+             cfg.llcPolicy = LlcPolicy::ForceShared;
+             cfg.extraAppPolicies = {LlcPolicy::ForcePrivate};
+         },
+         [](GpuSystem &gpu) {
+             gpu.setWorkload(0, defaultWorkload(11));
+             gpu.setWorkload(1, broadcastWorkload(9));
+         }},
+        {"llm_inference",
+         [](SimConfig &cfg) { cfg.llcPolicy = LlcPolicy::Adaptive; },
+         [](GpuSystem &gpu) {
+             LlmServingParams p;
+             p.ratePerKCycle = 1.0;
+             p.tenants = 2;
+             p.maxBatch = 1;
+             p.totalRequests = 4;
+             p.ctxTokens = 32;
+             p.decodeTokens = 4;
+             p.dModel = 256;
+             p.layers = 2;
+             gpu.setProgram(0, makeLlmInferenceProgram(p));
+         }},
+    };
+    const std::vector<std::pair<const char *, NocTopology>> nocs = {
+        {"ideal", NocTopology::Ideal},
+        {"cxbar", NocTopology::Concentrated},
+        {"hxbar", NocTopology::Hierarchical},
+    };
+
+    std::vector<scenario::EmitPoint> points;
+    std::vector<RunResult> results;
+    std::vector<std::uint64_t> stalls;
+    for (const Case &c : cases) {
+        for (const auto &[noc_name, topo] : nocs) {
+            for (const SimMode mode : {SimMode::Tick, SimMode::Event}) {
+                SimConfig cfg = smallConfig();
+                cfg.topology = topo;
+                cfg.idealNocLatency = 40;
+                cfg.simMode = mode;
+                c.configure(cfg);
+                GpuSystem gpu(cfg);
+                c.install(gpu);
+                results.push_back(gpu.run());
+                std::uint64_t sum = 0;
+                for (SmId s = 0; s < gpu.numSms(); ++s)
+                    sum += gpu.sm(s).stats().issueStallCycles;
+                stalls.push_back(sum);
+                const char *mode_name =
+                    mode == SimMode::Tick ? "tick" : "event";
+                points.push_back(
+                    {std::string(c.name) + "/" + noc_name + "/" +
+                         mode_name,
+                     {{"workload", c.name},
+                      {"noc", noc_name},
+                      {"sim_mode", mode_name}}});
+            }
+        }
+    }
+    for (std::size_t i = 0; i < results.size(); i += 2) {
+        EXPECT_TRUE(identicalResults(results[i], results[i + 1]))
+            << points[i].label;
+        EXPECT_EQ(stalls[i], stalls[i + 1]) << points[i].label;
+    }
+
+    // The emitted CSV (llc_cycles_private/shared among its columns)
+    // with the summed SM issue stalls appended to each row.
+    std::istringstream emitted(scenario::emitCsv(points, results));
+    std::string csv;
+    std::string line;
+    std::getline(emitted, line);
+    csv += line + ",sm_issue_stall_cycles\n";
+    for (const std::uint64_t sum : stalls) {
+        std::getline(emitted, line);
+        csv += line + "," + std::to_string(sum) + "\n";
+    }
+    const std::string path = std::string(AMSC_SOURCE_DIR) +
+        "/tests/golden/idle_counters.csv";
+    if (std::getenv("AMSC_UPDATE_GOLDEN")) {
+        std::ofstream(path, std::ios::binary) << csv;
+        return;
+    }
+    EXPECT_EQ(slurpFile(path), csv)
+        << "run with AMSC_UPDATE_GOLDEN=1 only if the model changed";
 }
 
 } // namespace amsc
