@@ -4,7 +4,9 @@
  *
  * A DelayQueue models a pipeline or wire with a fixed (per-push) delay
  * and optional bounded capacity. Items pushed at cycle c with latency L
- * become visible to pop() at cycle c+L.
+ * become visible to pop() at cycle c+L. A bounded queue preallocates
+ * its ring once and panics on overflow; an unbounded one grows and
+ * shrinks with its occupancy (common/ring_fifo.hh).
  *
  * Ready cycles are clamped to be monotone: an item pushed with an
  * earlier raw ready cycle than its predecessor becomes ready together
@@ -26,12 +28,13 @@
 
 #include <cassert>
 #include <cstddef>
-#include <deque>
 #include <limits>
 #include <type_traits>
 #include <utility>
 
 #include "common/ckpt.hh"
+#include "common/log.hh"
+#include "common/ring_fifo.hh"
 #include "common/types.hh"
 
 namespace amsc
@@ -53,7 +56,10 @@ class DelayQueue
         : capacity_(capacity == 0
               ? std::numeric_limits<std::size_t>::max()
               : capacity)
-    {}
+    {
+        if (capacity != 0)
+            q_ = Ring(capacity);
+    }
 
     /** @return true if another item can be pushed. */
     bool full() const { return q_.size() >= capacity_; }
@@ -72,23 +78,27 @@ class DelayQueue
      * but never before the item in front of it (monotone clamp; see
      * the file comment for why this is exact).
      *
-     * @pre !full()
+     * @pre !full(); a push into a full queue panics.
      */
     void
     push(T item, Cycle now, Cycle latency)
     {
-        assert(!full());
+        if (full())
+            panic("delay queue overflow (capacity %zu)", capacity_);
         Cycle ready = now + latency;
-        if (!q_.empty() && q_.back().first > ready)
-            ready = q_.back().first;
-        q_.emplace_back(ready, std::move(item));
+        if (q_.empty())
+            frontReady_ = ready;
+        else if (backReady_ > ready)
+            ready = backReady_;
+        backReady_ = ready;
+        q_.push_back({ready, std::move(item)});
     }
 
     /** @return true if the front item is visible at cycle @p now. */
     bool
     ready(Cycle now) const
     {
-        return !q_.empty() && q_.front().first <= now;
+        return frontReady_ <= now;
     }
 
     /** Cycle at which the front item becomes visible. @pre !empty(). */
@@ -96,7 +106,7 @@ class DelayQueue
     frontReadyCycle() const
     {
         assert(!q_.empty());
-        return q_.front().first;
+        return frontReady_;
     }
 
     /** Peek the front item. @pre ready(now). */
@@ -122,11 +132,17 @@ class DelayQueue
         assert(ready(now));
         T item = std::move(q_.front().second);
         q_.pop_front();
+        frontReady_ = q_.empty() ? kNoCycle : q_.front().first;
         return item;
     }
 
     /** Remove all items. */
-    void clear() { q_.clear(); }
+    void
+    clear()
+    {
+        q_.clear();
+        frontReady_ = kNoCycle;
+    }
 
     /**
      * Serialize (ready cycle, payload) entries. Padding-free
@@ -153,6 +169,8 @@ class DelayQueue
     {
         q_.clear();
         const std::uint64_t n = r.varint();
+        if (n > capacity_)
+            r.fail("delay queue overflow");
         for (std::uint64_t i = 0; i < n; ++i) {
             const Cycle ready = r.u64();
             T item{};
@@ -160,8 +178,10 @@ class DelayQueue
                 r.pod(item);
             else
                 ckptValue(r, item);
-            q_.emplace_back(ready, std::move(item));
+            q_.push_back({ready, std::move(item)});
         }
+        frontReady_ = q_.empty() ? kNoCycle : q_.front().first;
+        backReady_ = q_.empty() ? 0 : q_.back().first;
     }
 
     /** Iterate over all buffered items (for invariant checks). */
@@ -183,8 +203,16 @@ class DelayQueue
     }
 
   private:
+    using Ring = RingFifo<std::pair<Cycle, T>>;
+
     std::size_t capacity_;
-    std::deque<std::pair<Cycle, T>> q_;
+    Ring q_;
+    /**
+     * Ready cycles of the front (kNoCycle when empty) and back items,
+     * so polling and the clamp read no slot.
+     */
+    Cycle frontReady_ = kNoCycle;
+    Cycle backReady_ = 0;
 };
 
 } // namespace amsc

@@ -11,7 +11,6 @@
 #define AMSC_NOC_ARBITER_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "common/ckpt.hh"
 
@@ -37,44 +36,25 @@ class RoundRobinArbiter
     std::uint32_t numInputs() const { return numInputs_; }
 
     /**
-     * Grant among the asserted request bits.
+     * Grant the first input at or after the pointer, wrapping around,
+     * for which @p requested(i) holds, and move the pointer one past
+     * it. The scan runs as two segments, [pointer, n) then
+     * [0, pointer), so no index is reduced modulo n.
      *
-     * @param requests request flags, one per input.
-     * @return winning input index, or numInputs() if none requested.
+     * @return winning input index, or numInputs() if none requested
+     *         (the pointer then stays put).
      */
+    template <class Pred>
     std::uint32_t
-    grant(const std::vector<bool> &requests)
+    grant(Pred &&requested)
     {
-        for (std::uint32_t i = 0; i < numInputs_; ++i) {
-            const std::uint32_t cand = (pointer_ + i) % numInputs_;
-            if (cand < requests.size() && requests[cand]) {
-                pointer_ = (cand + 1) % numInputs_;
-                return cand;
-            }
+        for (std::uint32_t i = pointer_; i < numInputs_; ++i) {
+            if (requested(i))
+                return take(i);
         }
-        return numInputs_;
-    }
-
-    /**
-     * Grant among the inputs whose requested output equals @p out.
-     *
-     * Equivalent to grant() on the bit vector
-     * `requests[i] = (requested_out[i] == out)` -- same winner, same
-     * pointer update -- without materializing that vector. Used by
-     * the router's switch allocator, where each input requests at
-     * most one output per cycle.
-     */
-    std::uint32_t
-    grantMatching(const std::vector<std::uint32_t> &requested_out,
-                  std::uint32_t out)
-    {
-        for (std::uint32_t i = 0; i < numInputs_; ++i) {
-            const std::uint32_t cand = (pointer_ + i) % numInputs_;
-            if (cand < requested_out.size() &&
-                requested_out[cand] == out) {
-                pointer_ = (cand + 1) % numInputs_;
-                return cand;
-            }
+        for (std::uint32_t i = 0; i < pointer_; ++i) {
+            if (requested(i))
+                return take(i);
         }
         return numInputs_;
     }
@@ -95,6 +75,13 @@ class RoundRobinArbiter
     }
 
   private:
+    std::uint32_t
+    take(std::uint32_t winner)
+    {
+        pointer_ = winner + 1 == numInputs_ ? 0 : winner + 1;
+        return winner;
+    }
+
     std::uint32_t numInputs_;
     std::uint32_t pointer_ = 0;
 };

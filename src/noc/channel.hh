@@ -12,7 +12,13 @@
  * Inside a crossbar each end is bound to its component's active-set
  * bit: a sent flit wakes the receiver and a returned credit wakes the
  * sender, so whatever is in flight on a channel is always owned by an
- * active component.
+ * active component. A router end is also bound to its port's bit in
+ * the router's own port sets, so the router visits only the ports
+ * with something on the wire.
+ *
+ * Both pipelines are bounded by the credit count -- every flit or
+ * credit on the wire stands for one of the sender's credits -- so
+ * their rings are sized once, at construction.
  */
 
 #ifndef AMSC_NOC_CHANNEL_HH
@@ -43,7 +49,8 @@ class FlitChannel
                 std::uint32_t credits, double length_mm,
                 std::uint32_t width_bytes)
         : flitLatency_(flit_latency), creditLatency_(credit_latency),
-          senderCredits_(credits)
+          senderCredits_(credits), flits_(credits),
+          creditReturns_(credits)
     {
         activity_.lengthMm = length_mm;
         activity_.widthBytes = width_bytes;
@@ -60,6 +67,7 @@ class FlitChannel
         flits_.push(std::move(flit), now, flitLatency_);
         ++activity_.flitTraversals;
         receiver_.set();
+        receiverPort_.set();
     }
 
     /** Receiver: @return true if a flit has arrived by @p now. */
@@ -74,6 +82,7 @@ class FlitChannel
     {
         creditReturns_.push(1, now, creditLatency_);
         sender_.set();
+        senderPort_.set();
     }
 
     /** Sender: absorb credits that completed the return trip. */
@@ -86,9 +95,16 @@ class FlitChannel
         }
     }
 
-    /** Bind the bits returnCredit() and send() set, respectively. */
+    /**
+     * Bind the component bits returnCredit() and send() set,
+     * respectively.
+     */
     void bindSender(ActiveBit sender) { sender_ = sender; }
     void bindReceiver(ActiveBit receiver) { receiver_ = receiver; }
+
+    /** Bind the router port bits set next to the component bits. */
+    void bindSenderPort(ActiveBit port) { senderPort_ = port; }
+    void bindReceiverPort(ActiveBit port) { receiverPort_ = port; }
 
     /** Credits currently available to the sender. */
     std::uint32_t senderCredits() const { return senderCredits_; }
@@ -185,6 +201,8 @@ class FlitChannel
     LinkActivity activity_;
     ActiveBit sender_;
     ActiveBit receiver_;
+    ActiveBit senderPort_;
+    ActiveBit receiverPort_;
 };
 
 } // namespace amsc

@@ -17,12 +17,12 @@
 #define AMSC_NOC_CONCENTRATOR_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "common/ckpt.hh"
 #include "common/log.hh"
+#include "common/ring_fifo.hh"
 #include "common/types.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
@@ -39,7 +39,8 @@ class ConcentratorAdapter final : public NocSource
     ConcentratorAdapter(FlitChannel *out, std::uint32_t width_bytes,
                         std::uint32_t num_srcs, std::size_t queue_cap)
         : NocSource(out), widthBytes_(width_bytes), queueCap_(queue_cap),
-          queues_(num_srcs), arb_(num_srcs)
+          queues_(num_srcs, RingFifo<NocMessage>(queue_cap)),
+          arb_(num_srcs)
     {}
 
     bool
@@ -68,15 +69,11 @@ class ConcentratorAdapter final : public NocSource
 
         if (current_ == kInvalidId) {
             // Pick the next non-empty source queue round-robin.
-            std::vector<bool> reqs(queues_.size());
-            bool any = false;
-            for (std::size_t i = 0; i < queues_.size(); ++i) {
-                reqs[i] = !queues_[i].empty();
-                any = any || reqs[i];
-            }
-            if (!any)
+            const std::uint32_t pick = arb_.grant(
+                [&](std::uint32_t i) { return !queues_[i].empty(); });
+            if (pick == queues_.size())
                 return;
-            current_ = arb_.grant(reqs);
+            current_ = pick;
             flitsSent_ = 0;
         }
 
@@ -130,6 +127,8 @@ class ConcentratorAdapter final : public NocSource
         for (auto &q : queues_) {
             q.clear();
             const std::uint64_t n = r.varint();
+            if (n > queueCap_)
+                r.fail("concentrator queue overflow");
             for (std::uint64_t i = 0; i < n; ++i) {
                 NocMessage m{};
                 ckptValue(r, m);
@@ -146,7 +145,7 @@ class ConcentratorAdapter final : public NocSource
   private:
     std::uint32_t widthBytes_;
     std::size_t queueCap_;
-    std::vector<std::deque<NocMessage>> queues_;
+    std::vector<RingFifo<NocMessage>> queues_;
     RoundRobinArbiter arb_;
     std::uint32_t current_ = kInvalidId;
     std::uint32_t flitsSent_ = 0;
@@ -167,7 +166,8 @@ class DistributorAdapter final : public NocSink
      */
     DistributorAdapter(FlitChannel *in, std::uint32_t num_dsts,
                        std::size_t queue_cap, LocalFn local_of)
-        : NocSink(in), queueCap_(queue_cap), queues_(num_dsts),
+        : NocSink(in), queueCap_(queue_cap),
+          queues_(num_dsts, RingFifo<NocMessage>(queue_cap)),
           localOf_(std::move(local_of))
     {}
 
@@ -272,6 +272,8 @@ class DistributorAdapter final : public NocSink
         for (auto &q : queues_) {
             q.clear();
             const std::uint64_t n = r.varint();
+            if (n > queueCap_)
+                r.fail("distributor queue overflow");
             for (std::uint64_t i = 0; i < n; ++i) {
                 NocMessage m{};
                 ckptValue(r, m);
@@ -287,7 +289,7 @@ class DistributorAdapter final : public NocSink
 
   private:
     std::size_t queueCap_;
-    std::vector<std::deque<NocMessage>> queues_;
+    std::vector<RingFifo<NocMessage>> queues_;
     LocalFn localOf_;
     NocMessage pending_{};
     std::uint32_t pendingLocal_ = 0;

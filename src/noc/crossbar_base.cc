@@ -202,6 +202,7 @@ CrossbarBase::checkActiveSets() const
     }
     for (std::size_t i = 0; i < routers_.size(); ++i) {
         const Router &r = *routers_[i];
+        r.checkPortSets();
         if (activeRouters_.test(i) != r.busy())
             panic("router '%s': active bit disagrees with its work",
                   r.params().name.c_str());

@@ -153,7 +153,8 @@ class CrossbarBase : public Network
 
 #ifndef NDEBUG
     /**
-     * Debug reference: panics unless every bit matches its
+     * Debug reference: panics unless every router's port sets equal
+     * a full port scan (Router::checkPortSets), every bit matches its
      * component's busy() state, the parked count matches the sinks,
      * and drained()/nextEventCycle() equal a scan of every component
      * and channel.

@@ -26,11 +26,11 @@
 #define AMSC_NOC_ENDPOINT_HH
 
 #include <cstdint>
-#include <deque>
 
 #include "common/active_set.hh"
 #include "common/ckpt.hh"
 #include "common/log.hh"
+#include "common/ring_fifo.hh"
 #include "common/types.hh"
 #include "noc/channel.hh"
 #include "noc/message.hh"
@@ -147,7 +147,8 @@ class InjectionAdapter final : public NocSource
      */
     InjectionAdapter(FlitChannel *out, std::uint32_t width_bytes,
                      std::size_t queue_cap)
-        : NocSource(out), widthBytes_(width_bytes), queueCap_(queue_cap)
+        : NocSource(out), widthBytes_(width_bytes), queueCap_(queue_cap),
+          queue_(queue_cap)
     {}
 
     /** @return true if another message can be queued. */
@@ -206,6 +207,8 @@ class InjectionAdapter final : public NocSource
     {
         queue_.clear();
         const std::uint64_t n = r.varint();
+        if (n > queueCap_)
+            r.fail("injection queue overflow");
         for (std::uint64_t i = 0; i < n; ++i) {
             NocMessage m{};
             ckptValue(r, m);
@@ -217,7 +220,7 @@ class InjectionAdapter final : public NocSource
   private:
     std::uint32_t widthBytes_;
     std::size_t queueCap_;
-    std::deque<NocMessage> queue_;
+    RingFifo<NocMessage> queue_;
     std::uint32_t flitsSent_ = 0;
 };
 
@@ -230,7 +233,7 @@ class EjectionAdapter final : public NocSink
      * @param queue_cap  reassembled-message queue capacity.
      */
     EjectionAdapter(FlitChannel *in, std::size_t queue_cap)
-        : NocSink(in), queueCap_(queue_cap)
+        : NocSink(in), queueCap_(queue_cap), msgs_(queue_cap)
     {}
 
     /** Receive up to one flit (stalls when the queue is full). */
@@ -289,6 +292,8 @@ class EjectionAdapter final : public NocSink
     {
         msgs_.clear();
         const std::uint64_t n = r.varint();
+        if (n > queueCap_)
+            r.fail("ejection queue overflow");
         for (std::uint64_t i = 0; i < n; ++i) {
             NocMessage m{};
             ckptValue(r, m);
@@ -299,7 +304,7 @@ class EjectionAdapter final : public NocSink
 
   private:
     std::size_t queueCap_;
-    std::deque<NocMessage> msgs_;
+    RingFifo<NocMessage> msgs_;
     NocMessage pending_{};
 };
 

@@ -1,6 +1,7 @@
 #include "noc/router.hh"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/log.hh"
 
@@ -23,11 +24,17 @@ Router::Router(const RouterParams &params,
         fatal("router '%s': only 1 VC per port is modeled (Table 1)",
               params_.name.c_str());
     inputs_.resize(params_.numInPorts);
+    for (InputPort &in : inputs_)
+        in.buffer = RingFifo<std::pair<Cycle, Flit>>(inputBufferDepth());
     outputs_.resize(params_.numOutPorts);
     for (auto &o : outputs_)
         o.arb.resize(params_.numInPorts);
+    arriving_.resize(params_.numInPorts);
+    crediting_.resize(params_.numOutPorts);
+    buffered_.resize(params_.numInPorts);
+    requested_.resize(params_.numOutPorts);
     requestedOut_.assign(params_.numInPorts, kInvalidId);
-    outputRequested_.assign(params_.numOutPorts, 0);
+    requesters_.reserve(params_.numInPorts);
 
     activity_.numInPorts = params_.numInPorts;
     activity_.numOutPorts = params_.numOutPorts;
@@ -44,6 +51,7 @@ Router::connectInput(std::uint32_t port, FlitChannel *channel)
         panic("router '%s': input port %u out of range",
               params_.name.c_str(), port);
     inputs_[port].in = channel;
+    channel->bindReceiverPort(arriving_.bit(port));
 }
 
 void
@@ -53,6 +61,7 @@ Router::connectOutput(std::uint32_t port, FlitChannel *channel)
         panic("router '%s': output port %u out of range",
               params_.name.c_str(), port);
     outputs_[port].out = channel;
+    channel->bindSenderPort(crediting_.bit(port));
 }
 
 void
@@ -99,92 +108,73 @@ Router::activity(std::uint64_t cycles) const
 bool
 Router::busy() const
 {
-    if (bufferedFlits_ != 0)
-        return true;
-    for (const InputPort &in : inputs_) {
-        if (in.in != nullptr && in.in->flitsInFlight() != 0)
-            return true;
-    }
-    for (const OutputPort &out : outputs_) {
-        if (out.out != nullptr && out.out->creditsInFlight())
-            return true;
-    }
-    return false;
+    return bufferedFlits_ != 0 || arriving_.any() || crediting_.any();
 }
 
 Cycle
 Router::nextEventCycle() const
 {
     Cycle next = kNoCycle;
-    for (const InputPort &in : inputs_) {
-        if (in.in != nullptr)
-            next = std::min(next, in.in->nextArrivalCycle());
-    }
-    for (const OutputPort &out : outputs_) {
-        if (out.out != nullptr)
-            next = std::min(next, out.out->nextCreditCycle());
-    }
-    for (std::uint32_t i = 0; bufferedFlits_ != 0 && i < params_.numInPorts;
-         ++i) {
+    arriving_.forEach([&](std::size_t i) {
+        next = std::min(next, inputs_[i].in->nextArrivalCycle());
+    });
+    crediting_.forEach([&](std::size_t o) {
+        next = std::min(next, outputs_[o].out->nextCreditCycle());
+    });
+    buffered_.forEach([&](std::size_t i) {
         const InputPort &in = inputs_[i];
-        if (in.buffer.empty())
-            continue;
         const auto &front = in.buffer.front();
         std::uint32_t out_port;
         if (bypass_) {
             // Bypass hard-wires input i to output i.
-            out_port = i;
+            out_port = static_cast<std::uint32_t>(i);
         } else if (front.second.head) {
-            if (front.second.msg.dst >= route_.size())
-                return 0; // tick() will panic; force the live tick
+            if (front.second.msg.dst >= route_.size()) {
+                next = 0; // tick() will panic; force the live tick
+                return;
+            }
             out_port = route_[front.second.msg.dst];
             if (outputs_[out_port].lockedBy != kInvalidId)
-                continue; // unlock is the lock holder's event
+                return; // unlock is the lock holder's event
         } else {
             out_port = in.currentOut;
-            if (out_port == kInvalidId)
-                return 0; // tick() will panic; force the live tick
+            if (out_port == kInvalidId) {
+                next = 0; // tick() will panic; force the live tick
+                return;
+            }
         }
         const OutputPort &out = outputs_[out_port];
         if (out.out == nullptr)
-            continue;
+            return;
         const Cycle sendable = out.out->nextSendableCycle();
         if (sendable == kNoCycle)
-            continue; // credits reappear only after a downstream pop
+            return; // credits reappear only after a downstream pop
         next = std::min(next, std::max(front.first, sendable));
-    }
+    });
     return next;
-}
-
-bool
-Router::drained() const
-{
-    for (const auto &in : inputs_) {
-        if (!in.buffer.empty())
-            return false;
-    }
-    return true;
 }
 
 void
 Router::acceptArrivals(Cycle now)
 {
     const Cycle eligible = now + (bypass_ ? 1 : params_.pipelineLatency);
-    for (auto &in : inputs_) {
-        if (in.in == nullptr)
-            continue;
-        while (in.in->hasArrival(now)) {
+    arriving_.walk([&](std::size_t i) {
+        InputPort &in = inputs_[i];
+        FlitChannel &ch = *in.in;
+        while (ch.hasArrival(now)) {
             // Credit flow control guarantees buffer space.
             if (in.buffer.size() >= inputBufferDepth())
                 panic("router '%s': input buffer overflow "
                       "(credit protocol violated)",
                       params_.name.c_str());
-            in.buffer.emplace_back(eligible, in.in->receive(now));
+            in.buffer.push_back({eligible, ch.receive(now)});
             ++bufferedFlits_;
             if (!bypass_)
                 ++activity_.bufferWrites;
+            buffered_.assign(i, true);
         }
-    }
+        return ch.flitsInFlight() != 0;
+    });
 }
 
 void
@@ -192,13 +182,13 @@ Router::tickBypass(Cycle now)
 {
     // Input i is hard-wired to output i; one flit per cycle, credit
     // checked on the downstream channel. No allocation, no switch.
-    for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
+    buffered_.walk([&](std::size_t i) {
         InputPort &in = inputs_[i];
         OutputPort &out = outputs_[i];
-        if (in.buffer.empty() || in.buffer.front().first > now)
-            continue;
+        if (in.buffer.front().first > now)
+            return true;
         if (out.out == nullptr || !out.out->canSend())
-            continue;
+            return true;
         Flit flit = std::move(in.buffer.front().second);
         in.buffer.pop_front();
         --bufferedFlits_;
@@ -206,21 +196,20 @@ Router::tickBypass(Cycle now)
         if (in.in != nullptr)
             in.in->returnCredit(now);
         ++activity_.bypassTraversals;
-    }
+        return !in.buffer.empty();
+    });
 }
 
 void
 Router::tickAllocate(Cycle now)
 {
-    // Request phase: each input nominates its head-of-line flit for
-    // exactly one output, so requestedOut_ fully encodes the request
-    // matrix the separable allocator consumes.
-    bool any_request = false;
-    for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
+    // Request phase: each buffered input nominates its head-of-line
+    // flit for exactly one output, so requestedOut_ fully encodes the
+    // request matrix the separable allocator consumes.
+    buffered_.forEach([&](std::size_t i) {
         InputPort &in = inputs_[i];
-        requestedOut_[i] = kInvalidId;
-        if (in.buffer.empty() || in.buffer.front().first > now)
-            continue;
+        if (in.buffer.front().first > now)
+            return;
         const Flit &flit = in.buffer.front().second;
 
         std::uint32_t out_port;
@@ -231,7 +220,7 @@ Router::tickAllocate(Cycle now)
             out_port = route_[flit.msg.dst];
             // A head flit may only compete for an unlocked output.
             if (outputs_[out_port].lockedBy != kInvalidId)
-                continue;
+                return;
         } else {
             // Body/tail flits follow the wormhole lock.
             out_port = in.currentOut;
@@ -243,26 +232,21 @@ Router::tickAllocate(Cycle now)
         // Downstream credit must be available to compete this cycle.
         OutputPort &out = outputs_[out_port];
         if (out.out == nullptr || !out.out->canSend())
-            continue;
+            return;
 
         requestedOut_[i] = out_port;
-        outputRequested_[out_port] = 1;
-        any_request = true;
-    }
+        requesters_.push_back(static_cast<std::uint32_t>(i));
+        requested_.assign(out_port, true);
+    });
 
-    // Grant phase: per-output round-robin over requested outputs.
+    // Grant phase: per-output round-robin over the requested outputs.
     // Each input requests at most one output, so grants touch
     // disjoint inputs and skipping request-free outputs is exact.
-    for (std::uint32_t o = 0;
-         any_request && o < params_.numOutPorts; ++o) {
-        if (outputRequested_[o] == 0)
-            continue;
-        outputRequested_[o] = 0;
+    requested_.walk([&](std::size_t o) {
         OutputPort &out = outputs_[o];
-        const std::uint32_t winner =
-            out.arb.grantMatching(requestedOut_, o);
-        if (winner >= params_.numInPorts)
-            continue;
+        const std::uint32_t winner = out.arb.grant(
+            [&](std::uint32_t i) { return requestedOut_[i] == o; });
+        assert(winner < params_.numInPorts); // o has a requester
         ++activity_.allocRounds;
 
         InputPort &in = inputs_[winner];
@@ -271,10 +255,12 @@ Router::tickAllocate(Cycle now)
         --bufferedFlits_;
         ++activity_.bufferReads;
         ++activity_.xbarTraversals;
+        if (in.buffer.empty())
+            buffered_.assign(winner, false);
 
         if (flit.head) {
             out.lockedBy = winner;
-            in.currentOut = o;
+            in.currentOut = static_cast<std::uint32_t>(o);
         }
         if (flit.tail) {
             out.lockedBy = kInvalidId;
@@ -284,7 +270,12 @@ Router::tickAllocate(Cycle now)
         out.out->send(std::move(flit), now);
         if (in.in != nullptr)
             in.in->returnCredit(now);
-    }
+        return false; // the request is served
+    });
+
+    for (const std::uint32_t i : requesters_)
+        requestedOut_[i] = kInvalidId;
+    requesters_.clear();
 }
 
 void
@@ -311,7 +302,8 @@ Router::loadCkpt(CkptReader &r)
 {
     bypass_ = r.b();
     bufferedFlits_ = 0;
-    for (InputPort &in : inputs_) {
+    for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
+        InputPort &in = inputs_[i];
         in.buffer.clear();
         const std::uint64_t n = r.varint();
         if (n > inputBufferDepth())
@@ -320,15 +312,20 @@ Router::loadCkpt(CkptReader &r)
             const Cycle eligible = r.u64();
             Flit flit{};
             ckptValue(r, flit);
-            in.buffer.emplace_back(eligible, flit);
+            in.buffer.push_back({eligible, flit});
         }
         bufferedFlits_ += static_cast<std::uint32_t>(n);
+        buffered_.assign(i, n != 0);
+        // Channels are restored before routers.
+        arriving_.assign(i, in.in != nullptr && in.in->flitsInFlight() != 0);
         in.currentOut = r.u32();
         if (in.currentOut != kInvalidId &&
             in.currentOut >= params_.numOutPorts)
             r.fail("router wormhole lock out of range");
     }
-    for (OutputPort &out : outputs_) {
+    for (std::uint32_t o = 0; o < params_.numOutPorts; ++o) {
+        OutputPort &out = outputs_[o];
+        crediting_.assign(o, out.out != nullptr && out.out->creditsInFlight());
         out.arb.loadCkpt(r);
         out.lockedBy = r.u32();
         if (out.lockedBy != kInvalidId &&
@@ -342,11 +339,12 @@ Router::loadCkpt(CkptReader &r)
 void
 Router::tick(Cycle now)
 {
-    // Absorb credit returns on all downstream channels.
-    for (auto &out : outputs_) {
-        if (out.out != nullptr)
-            out.out->tickSender(now);
-    }
+    // Absorb credit returns on the outputs with credits on the wire.
+    crediting_.walk([&](std::size_t o) {
+        FlitChannel &ch = *outputs_[o].out;
+        ch.tickSender(now);
+        return ch.creditsInFlight();
+    });
     acceptArrivals(now);
     if (bufferedFlits_ == 0)
         return; // allocation (or the bypass walk) cannot move anything
@@ -355,5 +353,44 @@ Router::tick(Cycle now)
     else
         tickAllocate(now);
 }
+
+#ifndef NDEBUG
+void
+Router::checkPortSets() const
+{
+    std::uint32_t buffered = 0;
+    for (std::uint32_t i = 0; i < params_.numInPorts; ++i) {
+        const InputPort &in = inputs_[i];
+        const bool on_wire = in.in != nullptr && in.in->flitsInFlight() != 0;
+        if (arriving_.test(i) != on_wire)
+            panic("router '%s': input %u flits-on-the-wire bit is %d, "
+                  "a scan says %d",
+                  params_.name.c_str(), i, arriving_.test(i), on_wire);
+        if (buffered_.test(i) == in.buffer.empty())
+            panic("router '%s': input %u buffered bit is %d, a scan "
+                  "says %d",
+                  params_.name.c_str(), i, buffered_.test(i),
+                  !in.buffer.empty());
+        if (requestedOut_[i] != kInvalidId)
+            panic("router '%s': input %u request left behind",
+                  params_.name.c_str(), i);
+        buffered += static_cast<std::uint32_t>(in.buffer.size());
+    }
+    for (std::uint32_t o = 0; o < params_.numOutPorts; ++o) {
+        const OutputPort &out = outputs_[o];
+        const bool on_wire = out.out != nullptr && out.out->creditsInFlight();
+        if (crediting_.test(o) != on_wire)
+            panic("router '%s': output %u credits-on-the-wire bit is "
+                  "%d, a scan says %d",
+                  params_.name.c_str(), o, crediting_.test(o), on_wire);
+    }
+    if (buffered != bufferedFlits_)
+        panic("router '%s': %u buffered flits counted, buffers hold %u",
+              params_.name.c_str(), bufferedFlits_, buffered);
+    if (requested_.any() || !requesters_.empty())
+        panic("router '%s': switch requests left behind",
+              params_.name.c_str());
+}
+#endif
 
 } // namespace amsc

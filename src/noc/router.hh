@@ -29,18 +29,28 @@
  * Active and gated cycles are accounted lazily against the owning
  * network's cycle count: the router is ticked only while it has work,
  * yet every network cycle counts as active, or as gated under bypass.
+ *
+ * Inside a tick the router visits only the ports with work. Three
+ * port sets (common/active_set.hh) hold inputs with flits on the
+ * wire, outputs with credits on the wire and inputs with buffered
+ * flits; the channels set the first two as they send flits and return
+ * credits, and the router sets the third as it buffers a flit. Each
+ * bit is cleared only by the router's own tick, when the port drains.
+ * Switch allocation records which outputs were requested, and by
+ * which inputs, and grants only those outputs.
  */
 
 #ifndef AMSC_NOC_ROUTER_HH
 #define AMSC_NOC_ROUTER_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/active_set.hh"
 #include "common/ckpt.hh"
+#include "common/ring_fifo.hh"
 #include "common/types.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
@@ -77,10 +87,17 @@ class Router
      */
     Router(const RouterParams &params, std::vector<std::uint32_t> route);
 
-    /** Attach the upstream channel feeding input @p port. */
+    /**
+     * Attach the upstream channel feeding input @p port; a flit sent
+     * on it marks the port in the inputs-with-flits-on-the-wire set.
+     */
     void connectInput(std::uint32_t port, FlitChannel *channel);
 
-    /** Attach the downstream channel driven by output @p port. */
+    /**
+     * Attach the downstream channel driven by output @p port; a
+     * credit returned on it marks the port in the
+     * outputs-with-credits-on-the-wire set.
+     */
     void connectOutput(std::uint32_t port, FlitChannel *channel);
 
     /**
@@ -104,7 +121,7 @@ class Router
     bool bypassed() const { return bypass_; }
 
     /** True when all input buffers are empty. */
-    bool drained() const;
+    bool drained() const { return bufferedFlits_ == 0; }
 
     /**
      * Work for tick(): a buffered flit, a flit in flight on an input
@@ -157,12 +174,23 @@ class Router
      */
     void loadCkpt(CkptReader &r);
 
+#ifndef NDEBUG
+    /**
+     * Debug reference: panics unless each port set and the buffered
+     * flit count equal a full scan of the ports and their channels.
+     */
+    void checkPortSets() const;
+#endif
+
   private:
     struct InputPort
     {
         FlitChannel *in = nullptr;
-        /** (eligibleAt, flit) FIFO; single VC per Table 1. */
-        std::deque<std::pair<Cycle, Flit>> buffer;
+        /**
+         * (eligibleAt, flit) FIFO; single VC per Table 1, bounded by
+         * the buffer depth.
+         */
+        RingFifo<std::pair<Cycle, Flit>> buffer;
         /** Output locked by the in-flight packet (wormhole). */
         std::uint32_t currentOut = kInvalidId;
     };
@@ -194,10 +222,18 @@ class Router
      * right after absorbing credits and arrivals.
      */
     std::uint32_t bufferedFlits_ = 0;
-    // Per-tick scratch: output requested by each input (kInvalidId =
-    // none) and a per-output any-request flag gating the grant scan.
+    /** Inputs with flits on the wire (set by FlitChannel::send). */
+    ActiveSet arriving_;
+    /** Outputs with credits on the wire (set by returnCredit). */
+    ActiveSet crediting_;
+    /** Inputs with buffered flits. */
+    ActiveSet buffered_;
+    // Switch-allocation scratch, empty outside tickAllocate(): the
+    // outputs requested this cycle, the output each input requested
+    // (kInvalidId = none) and the requesting inputs.
+    ActiveSet requested_;
     std::vector<std::uint32_t> requestedOut_;
-    std::vector<std::uint8_t> outputRequested_;
+    std::vector<std::uint32_t> requesters_;
 };
 
 } // namespace amsc

@@ -1,17 +1,19 @@
 /**
  * @file
- * Unit tests for the common substrate: Rng/Zipf, DelayQueue, stats,
- * KvArgs.
+ * Unit tests for the common substrate: Rng/Zipf, DelayQueue,
+ * RingFifo, stats, KvArgs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <vector>
 
 #include "common/delay_queue.hh"
 #include "common/kvargs.hh"
+#include "common/ring_fifo.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 
@@ -228,6 +230,157 @@ TEST(DelayQueue, ForEachVisitsAll)
     int sum = 0;
     q.forEach([&sum](const int &v) { sum += v; });
     EXPECT_EQ(sum, 3);
+}
+
+TEST(DelayQueue, OverflowPanics)
+{
+    DelayQueue<int> q(2);
+    q.push(1, 0, 1);
+    q.push(2, 0, 1);
+    EXPECT_DEATH(q.push(3, 0, 1), "delay queue overflow");
+}
+
+// ------------------------------------------------------------ RingFifo
+
+TEST(RingFifo, BoundedSlotsArePowerOfTwo)
+{
+    EXPECT_EQ(RingFifo<int>(1).slots(), 1u);
+    EXPECT_EQ(RingFifo<int>(5).slots(), 8u);
+    EXPECT_EQ(RingFifo<int>(8).slots(), 8u);
+    EXPECT_EQ(RingFifo<int>(16).slots(), 16u);
+    EXPECT_EQ(RingFifo<int>().slots(), 0u); // growable: allocates lazily
+}
+
+TEST(RingFifo, WrapsAroundAtCapacity)
+{
+    RingFifo<int> q(4);
+    int next_in = 0;
+    int next_out = 0;
+    // Keep 3 of 4 slots occupied while the head laps the ring 25 times.
+    for (; next_in < 3; ++next_in)
+        q.push_back(next_in);
+    for (int step = 0; step < 100; ++step) {
+        q.push_back(next_in++);
+        ASSERT_EQ(q.size(), 4u);
+        ASSERT_EQ(q.front(), next_out);
+        ASSERT_EQ(q.back(), next_in - 1);
+        q.pop_front();
+        ++next_out;
+    }
+    EXPECT_EQ(q.slots(), 4u); // a bounded ring never grows
+    q.push_back(next_in);
+    EXPECT_DEATH(q.push_back(-1), "ring FIFO overflow");
+}
+
+TEST(RingFifo, FifoOrderAcrossWrapGrowthAndShrink)
+{
+    RingFifo<int> q;
+    int next_in = 0;
+    int next_out = 0;
+    for (; next_in < 6; ++next_in)
+        q.push_back(next_in);
+    for (; next_out < 4; ++next_out) {
+        ASSERT_EQ(q.front(), next_out);
+        q.pop_front();
+    }
+    // Head at slot 4 of 8: the next pushes wrap, then fill the ring
+    // and double it while wrapped.
+    for (; next_in < 40; ++next_in)
+        q.push_back(next_in);
+    EXPECT_EQ(q.slots(), 64u);
+    EXPECT_EQ(q.size(), 36u);
+    std::vector<int> seen;
+    for (const int v : q)
+        seen.push_back(v);
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        EXPECT_EQ(seen[i], next_out + static_cast<int>(i));
+    // Draining halves the ring each time it is down to a quarter.
+    for (; next_out < next_in; ++next_out) {
+        ASSERT_EQ(q.front(), next_out);
+        q.pop_front();
+        ASSERT_LE(q.slots(), std::max<std::size_t>(8, 4 * q.size()));
+    }
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.slots(), 8u);
+}
+
+namespace
+{
+
+/**
+ * A DelayQueue of 4 whose contents (3, ready 3), (4, ready 4),
+ * (5, ready 9), (6, ready 9) straddle the end of its ring.
+ */
+DelayQueue<int>
+wrappedQueue()
+{
+    DelayQueue<int> q(4);
+    for (int v = 1; v <= 4; ++v)
+        q.push(v, 0, static_cast<Cycle>(v));
+    q.pop(1);
+    q.pop(2);
+    q.push(5, 4, 5);
+    q.push(6, 5, 4);
+    return q;
+}
+
+} // namespace
+
+TEST(DelayQueue, ForEachOrderOnWrappedQueue)
+{
+    const DelayQueue<int> q = wrappedQueue();
+    std::vector<int> items;
+    q.forEach([&](const int &v) { items.push_back(v); });
+    EXPECT_EQ(items, (std::vector<int>{3, 4, 5, 6}));
+    std::vector<std::pair<Cycle, int>> timed;
+    q.forEachTimed(
+        [&](Cycle ready, const int &v) { timed.emplace_back(ready, v); });
+    EXPECT_EQ(timed, (std::vector<std::pair<Cycle, int>>{
+                         {3, 3}, {4, 4}, {9, 5}, {9, 6}}));
+}
+
+TEST(DelayQueue, MonotoneClampOnWrappedQueue)
+{
+    DelayQueue<int> q(4);
+    for (int v = 1; v <= 4; ++v)
+        q.push(v, 0, 10);
+    for (int v = 1; v <= 3; ++v)
+        EXPECT_EQ(q.pop(10), v);
+    // One item is left, in the ring's last slot; the pushes below
+    // wrap to slot 0, so the clamp reads the back across the wrap.
+    q.push(5, 10, 50); // ready 60, in slot 0
+    q.push(6, 11, 1);  // raw ready 12: clamped to 60
+    q.push(7, 12, 60); // ready 72
+    EXPECT_EQ(q.pop(10), 4);
+    EXPECT_FALSE(q.ready(59));
+    EXPECT_EQ(q.pop(60), 5);
+    EXPECT_TRUE(q.ready(60));
+    EXPECT_EQ(q.frontReadyCycle(), 60u);
+    EXPECT_EQ(q.pop(60), 6);
+    EXPECT_EQ(q.frontReadyCycle(), 72u);
+    EXPECT_EQ(q.pop(72), 7);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(DelayQueue, WrappedCheckpointEqualsUnwrapped)
+{
+    const DelayQueue<int> wrapped = wrappedQueue();
+    DelayQueue<int> flat; // same items, pushed into a fresh ring
+    wrapped.forEachTimed(
+        [&](Cycle ready, const int &v) { flat.push(v, ready, 0); });
+    CkptWriter w_wrapped;
+    CkptWriter w_flat;
+    wrapped.saveCkpt(w_wrapped);
+    flat.saveCkpt(w_flat);
+    EXPECT_EQ(w_wrapped.buffer(), w_flat.buffer());
+
+    // Restoring into a wrapped queue and saving again is a fixed point.
+    DelayQueue<int> restored = wrappedQueue();
+    CkptReader r(w_flat.buffer().data(), w_flat.size());
+    restored.loadCkpt(r);
+    CkptWriter w_restored;
+    restored.saveCkpt(w_restored);
+    EXPECT_EQ(w_restored.buffer(), w_flat.buffer());
 }
 
 // --------------------------------------------------------------- Stats

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "noc/arbiter.hh"
 #include "noc/channel.hh"
 #include "noc/concentrator.hh"
@@ -19,13 +23,25 @@ namespace amsc
 
 // -------------------------------------------------------------- Arbiter
 
+namespace
+{
+
+/** Grant among the set flags of @p req. */
+std::uint32_t
+grantFlags(RoundRobinArbiter &arb, const std::vector<bool> &req)
+{
+    return arb.grant([&](std::uint32_t i) { return bool(req[i]); });
+}
+
+} // namespace
+
 TEST(Arbiter, GrantsOnlyRequesters)
 {
     RoundRobinArbiter arb(4);
     std::vector<bool> req{false, true, false, false};
-    EXPECT_EQ(arb.grant(req), 1u);
+    EXPECT_EQ(grantFlags(arb, req), 1u);
     req[1] = false;
-    EXPECT_EQ(arb.grant(req), 4u); // none
+    EXPECT_EQ(grantFlags(arb, req), 4u); // none
 }
 
 TEST(Arbiter, RoundRobinIsFair)
@@ -34,7 +50,7 @@ TEST(Arbiter, RoundRobinIsFair)
     std::vector<bool> req{true, true, true};
     std::vector<int> wins(3, 0);
     for (int i = 0; i < 300; ++i)
-        ++wins[arb.grant(req)];
+        ++wins[grantFlags(arb, req)];
     EXPECT_EQ(wins[0], 100);
     EXPECT_EQ(wins[1], 100);
     EXPECT_EQ(wins[2], 100);
@@ -44,18 +60,51 @@ TEST(Arbiter, PointerAdvancesPastWinner)
 {
     RoundRobinArbiter arb(4);
     std::vector<bool> req{true, false, false, true};
-    EXPECT_EQ(arb.grant(req), 0u);
+    EXPECT_EQ(grantFlags(arb, req), 0u);
     // Pointer now at 1: next grant must pick 3 before 0.
-    EXPECT_EQ(arb.grant(req), 3u);
-    EXPECT_EQ(arb.grant(req), 0u);
+    EXPECT_EQ(grantFlags(arb, req), 3u);
+    EXPECT_EQ(arb.pointer(), 0u); // wrapped past the last input
+    EXPECT_EQ(grantFlags(arb, req), 0u);
 }
 
 TEST(Arbiter, PointerHoldsWithoutGrant)
 {
     RoundRobinArbiter arb(4);
     std::vector<bool> none{false, false, false, false};
-    arb.grant(none);
+    grantFlags(arb, none);
     EXPECT_EQ(arb.pointer(), 0u);
+}
+
+TEST(Arbiter, MatchesModuloScanOnRandomRequests)
+{
+    // Reference: the single `(pointer + i) % n` scan the two-segment
+    // grant replaces. Winner and pointer must agree on every call.
+    Rng rng(20261017);
+    for (std::uint32_t n : {1u, 2u, 3u, 7u, 8u, 10u, 64u, 80u}) {
+        RoundRobinArbiter arb(n);
+        std::uint32_t ref_ptr = 0;
+        for (int round = 0; round < 2000; ++round) {
+            // Sparse, dense and empty request patterns.
+            const double density = round % 3 == 0 ? 0.05
+                : round % 3 == 1 ? 0.5 : 0.0;
+            std::vector<bool> req(n);
+            for (std::uint32_t i = 0; i < n; ++i)
+                req[i] = rng.chance(density);
+            std::uint32_t ref_win = n;
+            for (std::uint32_t i = 0; i < n; ++i) {
+                const std::uint32_t cand = (ref_ptr + i) % n;
+                if (req[cand]) {
+                    ref_win = cand;
+                    ref_ptr = (cand + 1) % n;
+                    break;
+                }
+            }
+            ASSERT_EQ(grantFlags(arb, req), ref_win)
+                << "n=" << n << " round=" << round;
+            ASSERT_EQ(arb.pointer(), ref_ptr)
+                << "n=" << n << " round=" << round;
+        }
+    }
 }
 
 // -------------------------------------------------------------- Channel
@@ -488,6 +537,205 @@ TEST(Router, BypassFasterThanPipeline)
             t_gated = c;
     }
     EXPECT_LT(t_gated, t_normal);
+}
+
+// ------------------------------------------------------ Router port sets
+
+namespace
+{
+
+/** A router's state as a full port scan sees it. */
+struct RouterScan
+{
+    bool bypass = false;
+    std::vector<std::vector<std::pair<Cycle, Flit>>> buffers;
+    std::vector<std::uint32_t> currentOut;
+    std::vector<std::uint32_t> lockedBy;
+};
+
+/** Decode every port of @p rig's router from its checkpoint at @p c. */
+RouterScan
+scanRouter(const RouterRig &rig, Cycle c)
+{
+    CkptWriter w;
+    rig.router.saveCkpt(w, c);
+    CkptReader r(w.buffer().data(), w.size());
+    RouterScan scan;
+    scan.bypass = r.b();
+    for (std::uint32_t i = 0; i < rig.rp.numInPorts; ++i) {
+        auto &buf = scan.buffers.emplace_back();
+        for (std::uint64_t n = r.varint(); n > 0; --n) {
+            const Cycle eligible = r.u64();
+            Flit f;
+            ckptValue(r, f);
+            buf.emplace_back(eligible, f);
+        }
+        scan.currentOut.push_back(r.u32());
+    }
+    for (std::uint32_t o = 0; o < rig.rp.numOutPorts; ++o) {
+        r.u32(); // arbiter pointer
+        scan.lockedBy.push_back(r.u32());
+    }
+    return scan;
+}
+
+/**
+ * Check busy(), drained() and nextEventCycle() against a scan of
+ * every port and channel (identity routes, as RouterRig builds).
+ */
+void
+expectMatchesFullScan(const RouterRig &rig, const char *when, Cycle c)
+{
+    const RouterScan scan = scanRouter(rig, c);
+    std::size_t buffered = 0;
+    bool on_wire = false;
+    Cycle next = kNoCycle;
+    for (const FlitChannel &ch : rig.in) {
+        on_wire = on_wire || ch.flitsInFlight() != 0;
+        next = std::min(next, ch.nextArrivalCycle());
+    }
+    for (const FlitChannel &ch : rig.out) {
+        on_wire = on_wire || ch.creditsInFlight();
+        next = std::min(next, ch.nextCreditCycle());
+    }
+    for (std::uint32_t i = 0; i < rig.rp.numInPorts; ++i) {
+        const auto &buf = scan.buffers[i];
+        buffered += buf.size();
+        if (buf.empty())
+            continue;
+        const auto &[eligible, flit] = buf.front();
+        std::uint32_t o;
+        if (scan.bypass) {
+            o = i;
+        } else if (flit.head) {
+            o = flit.msg.dst;
+            if (scan.lockedBy[o] != kInvalidId)
+                continue;
+        } else {
+            o = scan.currentOut[i];
+        }
+        const Cycle sendable = rig.out[o].nextSendableCycle();
+        if (sendable != kNoCycle)
+            next = std::min(next, std::max(eligible, sendable));
+    }
+    ASSERT_EQ(rig.router.drained(), buffered == 0)
+        << when << " cycle " << c;
+    ASSERT_EQ(rig.router.busy(), buffered != 0 || on_wire)
+        << when << " cycle " << c;
+    ASSERT_EQ(rig.router.nextEventCycle(), next) << when << " cycle " << c;
+}
+
+/** Save @p rig's channels and router, then restore them into a twin. */
+std::unique_ptr<RouterRig>
+restoreTwin(const RouterRig &rig, Cycle cycles)
+{
+    CkptWriter w;
+    for (const FlitChannel &ch : rig.in)
+        ch.saveCkpt(w);
+    for (const FlitChannel &ch : rig.out)
+        ch.saveCkpt(w);
+    rig.router.saveCkpt(w, cycles);
+    auto twin = std::make_unique<RouterRig>(rig.rp.numInPorts, true);
+    CkptReader r(w.buffer().data(), w.size());
+    for (FlitChannel &ch : twin->in)
+        ch.loadCkpt(r);
+    for (FlitChannel &ch : twin->out)
+        ch.loadCkpt(r);
+    twin->router.loadCkpt(r); // channels first, as the crossbar does
+    EXPECT_TRUE(r.atEnd());
+    return twin;
+}
+
+} // namespace
+
+TEST(RouterPortSets, MatchFullScanAcrossBypassAndRestore)
+{
+    // 3 ports fit one set word; 70 ports span two (a `full` router
+    // has 80 inputs).
+    for (const std::uint32_t ports : {3u, 70u}) {
+        SCOPED_TRACE(ports);
+        auto rig = std::make_unique<RouterRig>(ports, true);
+        Rng rng(ports);
+        // Length of the packet each input streams, flits of it left,
+        // and credits each output's consumer still owes.
+        std::vector<std::uint32_t> len(ports, 0);
+        std::vector<std::uint32_t> left(ports, 0);
+        std::vector<std::uint32_t> owed(ports, 0);
+        std::uint64_t delivered = 0;
+        bool injecting = true;
+        int toggles = 0;
+        int restores = 0;
+        Cycle c = 0;
+        for (; c < 3000; ++c) {
+            // Stop injecting every 400 cycles; once the router and its
+            // inputs are empty (the reconfiguration protocol's drain),
+            // toggle bypass and resume.
+            if (c % 400 == 399)
+                injecting = false;
+            if (!injecting) {
+                bool quiet = rig->router.drained();
+                for (std::uint32_t i = 0; i < ports; ++i)
+                    quiet = quiet && left[i] == 0 &&
+                        rig->in[i].flitsInFlight() == 0;
+                if (quiet) {
+                    rig->router.setBypass(!rig->router.bypassed(), c);
+                    ++toggles;
+                    injecting = true;
+                }
+            }
+            // Mid-traffic restores land with flits and credits on the
+            // wire and flits buffered.
+            if (c % 250 == 125) {
+                rig = restoreTwin(*rig, c);
+                ++restores;
+                ASSERT_NO_FATAL_FAILURE(
+                    expectMatchesFullScan(*rig, "restored", c));
+            }
+            for (std::uint32_t i = 0; i < ports; ++i) {
+                if (left[i] == 0 && injecting && rng.chance(0.3))
+                    left[i] = len[i] = rng.chance(0.5) ? 1 : 3;
+                if (left[i] == 0 || !rig->in[i].canSend())
+                    continue;
+                Flit f;
+                f.head = left[i] == len[i];
+                f.tail = left[i] == 1;
+                if (f.head)
+                    f.msg.dst = static_cast<std::uint32_t>(
+                        rng.below(ports));
+                rig->in[i].send(f, c);
+                --left[i];
+            }
+            ASSERT_NO_FATAL_FAILURE(
+                expectMatchesFullScan(*rig, "before tick", c));
+            if (rig->router.busy())
+                rig->router.tick(c);
+            ASSERT_NO_FATAL_FAILURE(
+                expectMatchesFullScan(*rig, "after tick", c));
+            for (FlitChannel &ch : rig->in)
+                ch.tickSender(c);
+            // Consumers take arrivals at once but return credits
+            // lazily, so outputs run dry and credits sit on the wire.
+            for (std::uint32_t o = 0; o < ports; ++o) {
+                FlitChannel &ch = rig->out[o];
+                while (ch.hasArrival(c)) {
+                    ch.receive(c);
+                    ++owed[o];
+                    ++delivered;
+                }
+                if (owed[o] != 0 && rng.chance(0.4)) {
+                    ch.returnCredit(c);
+                    --owed[o];
+                }
+            }
+        }
+        const RouterActivity act = rig->router.activity(c);
+        EXPECT_GE(toggles, 4);
+        EXPECT_GE(restores, 10);
+        EXPECT_GT(act.xbarTraversals, 100u);
+        EXPECT_GT(act.bypassTraversals, 100u);
+        EXPECT_LE(delivered, act.xbarTraversals + act.bypassTraversals);
+        EXPECT_GT(delivered, 0u);
+    }
 }
 
 } // namespace amsc
