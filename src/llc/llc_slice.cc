@@ -40,16 +40,9 @@ LlcSlice::process(const NocMessage &msg, Cycle now)
     if (msg.kind == MsgKind::ReadReq ||
         msg.kind == MsgKind::AtomicReq) {
         const bool is_atomic = msg.kind == MsgKind::AtomicReq;
-        // A miss needs MSHR space (entry or merge target); a primary
-        // miss additionally needs miss-queue space.
-        const bool in_cache = tags_.probe(line) != nullptr;
         const bool merged = mshrs_.contains(line);
-        if (!in_cache) {
-            if (!mshrs_.canAllocate(line))
-                return false;
-            if (!merged && missQueue_.full())
-                return false;
-        }
+        if (readBlocked(line, merged))
+            return false;
 
         if (is_atomic)
             ++stats_.atomics;
@@ -137,6 +130,16 @@ LlcSlice::process(const NocMessage &msg, Cycle now)
     panic("LLC%u: unexpected message kind", params_.id);
 }
 
+bool
+LlcSlice::readBlocked(Addr line, bool merged) const
+{
+    // A miss needs MSHR space (entry or merge target); a primary
+    // miss additionally needs miss-queue space.
+    if (tags_.probe(line) != nullptr)
+        return false;
+    return !mshrs_.canAllocate(line) || (!merged && missQueue_.full());
+}
+
 void
 LlcSlice::tick(Cycle now)
 {
@@ -156,6 +159,8 @@ LlcSlice::tick(Cycle now)
                 ++stats_.dramWrites;
             else
                 ++stats_.dramReads;
+            // Only a pop from a full miss queue can unblock a read.
+            retryArmed_ = retryArmed_ || missQueue_.full();
             missQueue_.pop(now);
         }
     }
@@ -173,14 +178,20 @@ LlcSlice::tick(Cycle now)
     // 4. Accept one request from the network (tag pipeline width 1).
     if (stalledReq_.has_value()) {
         ++stats_.stallCycles;
-        if (process(*stalledReq_, now))
-            stalledReq_.reset();
+        if (retryArmed_ || stalledReq_->kind == MsgKind::WriteReq) {
+            if (process(*stalledReq_, now))
+                stalledReq_.reset();
+            else
+                retryArmed_ = false;
+        }
         return;
     }
     if (net_->hasRequestFor(params_.id)) {
         NocMessage msg = net_->popRequestFor(params_.id, now);
-        if (!process(msg, now))
+        if (!process(msg, now)) {
             stalledReq_ = msg;
+            retryArmed_ = false;
+        }
     }
 }
 
@@ -214,6 +225,7 @@ LlcSlice::onDramReply(Addr line_addr, Cycle now)
         // reads always do.
         return;
     }
+    retryArmed_ = true;
     const auto targets = mshrs_.complete(line_addr);
     fillLine(line_addr, now,
              targets.empty() ? kInvalidId : targets.front().sm);
@@ -281,6 +293,7 @@ void
 LlcSlice::invalidateAll()
 {
     tags_.invalidateAll();
+    retryArmed_ = true;
 }
 
 bool
@@ -344,6 +357,22 @@ LlcSlice::loadCkpt(CkptReader &r)
     for (std::uint64_t i = 0; i < n; ++i)
         writebackQueue_.push_back(r.u64());
     r.pod(stats_);
+    retryArmed_ = true;
 }
+
+#ifndef NDEBUG
+void
+LlcSlice::checkRetryGate() const
+{
+    if (!stalledReq_ || retryArmed_ ||
+        stalledReq_->kind == MsgKind::WriteReq)
+        return;
+    const Addr line = stalledReq_->lineAddr;
+    if (!readBlocked(line, mshrs_.contains(line)))
+        panic("LLC%u: stalled read of line %llu can proceed but its "
+              "retry is disarmed",
+              params_.id, static_cast<unsigned long long>(line));
+}
+#endif
 
 } // namespace amsc

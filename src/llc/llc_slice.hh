@@ -152,13 +152,17 @@ class LlcSlice
 
     /**
      * Earliest cycle >= @p now whose tick() is not a no-op. A
-     * stalled request (its retry touches tag recency), a pending
+     * stalled request (it counts a stall cycle every cycle, and a
+     * stalled write's retry touches tag recency), a pending
      * write-back and a waiting network request (both probe
      * reject-counting canAccept paths) pin the slice to `now`;
      * otherwise the delay queues' front ready cycles are exact.
      * kNoCycle when fully drained with nothing queued in the NoC.
      */
     Cycle nextEventCycle(Cycle now) const;
+
+    /** True while a request waits for a retry (resource stall). */
+    bool stalled() const { return stalledReq_.has_value(); }
 
     const LlcSliceStats &stats() const { return stats_; }
     SliceId id() const { return params_.id; }
@@ -177,6 +181,14 @@ class LlcSlice
     /** Restore state written by saveCkpt(). */
     void loadCkpt(CkptReader &r);
 
+#ifndef NDEBUG
+    /**
+     * Debug checker: panic if a stalled read or atomic waits with its
+     * retry disarmed although readBlocked() no longer holds.
+     */
+    void checkRetryGate() const;
+#endif
+
   private:
     /** Pending read target: requesting SM (+ atomic flag). */
     struct ReadTarget
@@ -190,6 +202,14 @@ class LlcSlice
 
     /** Handle one incoming request; @return false to retry later. */
     bool process(const NocMessage &msg, Cycle now);
+
+    /**
+     * True while a read or atomic to @p line cannot be processed: a
+     * tag miss that finds no MSHR space or, as a primary miss
+     * (@p merged false), no miss-queue space. Only a miss-queue pop,
+     * a DRAM reply, an invalidation or a restore can change it.
+     */
+    bool readBlocked(Addr line, bool merged) const;
 
     /** Queue a read reply towards @p sm. */
     void queueReply(Addr line_addr, SmId sm, Cycle now, Cycle latency,
@@ -217,6 +237,14 @@ class LlcSlice
 
     /** Request that could not complete (resource stall). */
     std::optional<NocMessage> stalledReq_;
+    /**
+     * A stalled read or atomic is retried only while this is set. A
+     * failed read retry changes nothing, so the flag drops when one
+     * fails and is raised by what can unblock it (readBlocked()).
+     * Stalled writes retry every cycle: each attempt refreshes the
+     * line's recency. Not checkpointed; restore raises it.
+     */
+    bool retryArmed_ = false;
     /** Misses waiting out the miss latency before the DRAM queue. */
     DelayQueue<std::pair<Addr, bool>> missQueue_;
     /** Replies waiting out the hit/fill latency before injection. */

@@ -474,6 +474,7 @@ LlcSystem::checkActiveSlices(Cycle now) const
             panic("LLC slice %u has work but is not active", s);
         e = std::min(e, slice.nextEventCycle(now));
         atomics += slice.stats().atomics;
+        slice.checkRetryGate();
     }
     if (e != nextEventCycle(now))
         panic("LLC nextEventCycle() disagrees with a full scan");

@@ -290,8 +290,9 @@ class LlcSystem
 #ifndef NDEBUG
     /**
      * Debug reference: panics unless every busy slice is active,
-     * nextEventCycle(@p now) equals a scan of every slice and
-     * totalAtomics() equals the per-slice sum.
+     * nextEventCycle(@p now) equals a scan of every slice,
+     * totalAtomics() equals the per-slice sum and every slice passes
+     * LlcSlice::checkRetryGate().
      */
     void checkActiveSlices(Cycle now) const;
 #endif

@@ -63,29 +63,29 @@ wanted(const DramRequest &r, Want want)
 
 /**
  * FR-FCFS over the subset selected by @p want: the oldest row hit on
- * an idle bank, else the oldest request on an idle bank. The
- * two-pass scan is bit-identical to the pre-framework hardwired loop
- * when want == Any.
+ * an idle bank, else the oldest request on an idle bank. One pass
+ * returns the first idle row hit outright and otherwise remembers the
+ * first idle request -- the same index as the pre-framework two-pass
+ * loop (row hits, then any idle bank) when want == Any.
  */
 std::size_t
 frFcfsScan(const McPickView &view, Want want)
 {
+    std::size_t oldest_idle = MemSchedulerPolicy::kNoPick;
     const std::vector<DramRequest> &queue = view.queue;
     for (std::size_t i = 0; i < queue.size(); ++i) {
         const DramRequest &r = queue[i];
         if (!wanted(r, want))
             continue;
         const DramBank &bank = view.banks[r.bank];
-        if (bank.idleAt(view.now) && bank.rowHit(r.row))
-            return i;
-    }
-    for (std::size_t i = 0; i < queue.size(); ++i) {
-        if (!wanted(queue[i], want))
+        if (!bank.idleAt(view.now))
             continue;
-        if (view.banks[queue[i].bank].idleAt(view.now))
+        if (bank.rowHit(r.row))
             return i;
+        if (oldest_idle == MemSchedulerPolicy::kNoPick)
+            oldest_idle = i;
     }
-    return MemSchedulerPolicy::kNoPick;
+    return oldest_idle;
 }
 
 } // namespace

@@ -32,6 +32,7 @@ MemoryController::enqueue(DramRequest req, Cycle now)
               params_.banksPerMc);
     req.enqueueCycle = now;
     queue_.push_back(req);
+    pickBlockedUntil_ = 0;
 }
 
 Cycle
@@ -72,20 +73,25 @@ void
 MemoryController::tick(Cycle now)
 {
     // 1. Fire completed reads (writes complete silently).
-    for (std::size_t i = 0; i < inFlight_.size();) {
-        if (inFlight_[i].completeAt <= now) {
-            const InFlight done = inFlight_[i];
-            inFlight_[i] = inFlight_.back();
-            inFlight_.pop_back();
-            if (!done.req.isWrite) {
-                stats_.totalReadLatency +=
-                    done.completeAt - done.req.enqueueCycle;
-                if (readCb_)
-                    readCb_(done.req, now);
+    if (now >= nextCompleteAt_) {
+        Cycle next = kNoCycle;
+        for (std::size_t i = 0; i < inFlight_.size();) {
+            if (inFlight_[i].completeAt <= now) {
+                const InFlight done = inFlight_[i];
+                inFlight_[i] = inFlight_.back();
+                inFlight_.pop_back();
+                if (!done.req.isWrite) {
+                    stats_.totalReadLatency +=
+                        done.completeAt - done.req.enqueueCycle;
+                    if (readCb_)
+                        readCb_(done.req, now);
+                }
+            } else {
+                next = std::min(next, inFlight_[i].completeAt);
+                ++i;
             }
-        } else {
-            ++i;
         }
+        nextCompleteAt_ = next;
     }
 
     // 2. All-bank refresh: once due, block new issues until every
@@ -116,14 +122,20 @@ MemoryController::tick(Cycle now)
         return; // nothing issues while a refresh is pending/starting
     }
 
-    // 3. Scheduler pick: at most one request per cycle.
-    if (queue_.empty())
+    // 3. Scheduler pick: at most one request per cycle, and none
+    //    before a queued request's bank can issue (pickBlockedUntil_).
+    if (queue_.empty() || now < pickBlockedUntil_)
         return;
     const std::size_t pick =
         sched_->pick(McPickView{queue_, banks_, now});
     stats_.writeDrainEntries = sched_->drainEntries();
-    if (pick == MemSchedulerPolicy::kNoPick)
+    if (pick == MemSchedulerPolicy::kNoPick) {
+        Cycle ready = kNoCycle;
+        for (const DramRequest &r : queue_)
+            ready = std::min(ready, banks_[r.bank].readyAt());
+        pickBlockedUntil_ = std::max(now + 1, ready);
         return; // nothing issueable this cycle
+    }
     assert(pick < queue_.size());
 
     const DramRequest req = queue_[pick];
@@ -213,6 +225,7 @@ MemoryController::issue(const DramRequest &req, Cycle now)
     f.req = req;
     f.completeAt = data_start + burst;
     inFlight_.push_back(f);
+    nextCompleteAt_ = std::min(nextCompleteAt_, f.completeAt);
 
     if (req.isWrite)
         ++stats_.writes;
@@ -282,12 +295,14 @@ MemoryController::loadCkpt(CkptReader &r)
     if (queue_.size() > params_.queueCapacity)
         r.fail("memory controller queue overflow");
     inFlight_.clear();
+    nextCompleteAt_ = kNoCycle;
     const std::uint64_t n = r.varint();
     for (std::uint64_t i = 0; i < n; ++i) {
         InFlight f{};
         ckptValue(r, f.req);
         f.completeAt = r.u64();
         inFlight_.push_back(f);
+        nextCompleteAt_ = std::min(nextCompleteAt_, f.completeAt);
     }
     for (DramBank &b : banks_)
         b.loadCkpt(r);
@@ -311,6 +326,37 @@ MemoryController::loadCkpt(CkptReader &r)
     nextRefreshAt_ = r.u64();
     sched_->loadCkpt(r);
     r.pod(stats_);
+    // A cleared gate re-runs the pick once; had the unbroken run
+    // gated it, that pick returns kNoPick and leaves the policy as is.
+    pickBlockedUntil_ = 0;
 }
+
+#ifndef NDEBUG
+void
+MemoryController::checkPickGate(Cycle now) const
+{
+    Cycle next = kNoCycle;
+    for (const InFlight &f : inFlight_)
+        next = std::min(next, f.completeAt);
+    if (next != nextCompleteAt_)
+        panic("MC%u nextCompleteAt %llu, in-flight minimum %llu", id_,
+              static_cast<unsigned long long>(nextCompleteAt_),
+              static_cast<unsigned long long>(next));
+    if (queue_.empty() || now >= pickBlockedUntil_)
+        return;
+    CkptWriter w;
+    sched_->saveCkpt(w);
+    const std::unique_ptr<MemSchedulerPolicy> copy =
+        MemSchedulerPolicy::create(schedKind_, params_.queueCapacity);
+    CkptReader r(w.buffer().data(), w.buffer().size());
+    copy->loadCkpt(r);
+    if (copy->pick(McPickView{queue_, banks_, now}) !=
+        MemSchedulerPolicy::kNoPick)
+        panic("MC%u pick gated until %llu, but a request can issue "
+              "at %llu", id_,
+              static_cast<unsigned long long>(pickBlockedUntil_),
+              static_cast<unsigned long long>(now));
+}
+#endif
 
 } // namespace amsc

@@ -154,32 +154,29 @@ class MemoryController
         return queue_.size() + inFlight_.size();
     }
 
+    /** @return number of requests waiting for the scheduler. */
+    std::size_t queuedRequests() const { return queue_.size(); }
+
     /** True when no request is queued or in flight. */
     bool drained() const { return pendingRequests() == 0; }
 
     /**
-     * Earliest cycle >= @p now whose tick() is not a no-op. A
-     * non-empty queue pins the controller to `now` (the scheduler
-     * re-evaluates, and mutates its drain state, every cycle); with
-     * only in-flight requests the earliest completion -- bounded by
-     * the next due refresh -- is exact; kNoCycle when drained.
+     * Earliest cycle >= @p now whose tick() is not a no-op: the
+     * earliest in-flight completion, the cycle the pick gate opens
+     * (while requests are queued) and the next refresh deadline
+     * (while any work is pending); kNoCycle when drained. Exact: the
+     * completion loop runs only when one is due, and a gated pick
+     * would have returned kNoPick (see pickBlockedUntil_).
      */
     Cycle
     nextEventCycle(Cycle now) const
     {
-        if (!queue_.empty())
-            return now;
-        if (inFlight_.empty())
+        Cycle e = nextCompleteAt_;
+        if (!queue_.empty() && pickBlockedUntil_ < e)
+            e = pickBlockedUntil_;
+        if (e == kNoCycle)
             return kNoCycle;
-        const Cycle refi = params_.timings.tREFI;
-        if (refi != 0 && now >= nextRefreshAt_)
-            return now;
-        Cycle e = kNoCycle;
-        for (const InFlight &f : inFlight_) {
-            if (f.completeAt < e)
-                e = f.completeAt;
-        }
-        if (refi != 0 && nextRefreshAt_ < e)
+        if (params_.timings.tREFI != 0 && nextRefreshAt_ < e)
             e = nextRefreshAt_;
         return e > now ? e : now;
     }
@@ -202,6 +199,16 @@ class MemoryController
 
     /** Restore state written by saveCkpt(). */
     void loadCkpt(CkptReader &r);
+
+#ifndef NDEBUG
+    /**
+     * Debug checker: panic unless nextCompleteAt_ is the earliest
+     * in-flight completion and, when the pick at @p now is gated, the
+     * policy (run on a checkpoint copy, so the real one keeps its
+     * drain state) would return kNoPick there.
+     */
+    void checkPickGate(Cycle now) const;
+#endif
 
   private:
     struct InFlight
@@ -258,6 +265,21 @@ class MemoryController
     bool anyCol_ = false;
     /** Next refresh due at this cycle (tREFI; 0 disables). */
     Cycle nextRefreshAt_ = 0;
+
+    // ---- derived wake-up cycles (not checkpointed) ---------------
+    /**
+     * tick() skips the scheduler pick before this cycle. Set when a
+     * pick returns kNoPick, to the earliest DramBank::readyAt() over
+     * the queued requests (at least the next cycle): every policy
+     * picks only requests whose bank is idle, bank busy times only
+     * grow without an issue, and the write-drain toggle depends only
+     * on the queued-write count, so each skipped pick would have
+     * returned kNoPick and left the policy as it was. enqueue()
+     * clears it; restore clears it.
+     */
+    Cycle pickBlockedUntil_ = 0;
+    /** Earliest in-flight completion (kNoCycle when none). */
+    Cycle nextCompleteAt_ = kNoCycle;
 
     ReadCallback readCb_;
     CommandObserver cmdObserver_;

@@ -89,6 +89,16 @@ MemorySystem::drained() const
     return true;
 }
 
+bool
+MemorySystem::anyQueued() const
+{
+    for (const auto &mc : mcs_) {
+        if (mc->queuedRequests() != 0)
+            return true;
+    }
+    return false;
+}
+
 std::uint64_t
 MemorySystem::totalAccesses() const
 {
@@ -137,5 +147,14 @@ MemorySystem::loadCkpt(CkptReader &r)
     for (auto &mc : mcs_)
         mc->loadCkpt(r);
 }
+
+#ifndef NDEBUG
+void
+MemorySystem::checkPickGates(Cycle now) const
+{
+    for (const auto &mc : mcs_)
+        mc->checkPickGate(now);
+}
+#endif
 
 } // namespace amsc

@@ -77,12 +77,15 @@ class MemorySystem
     /** True when all controllers are empty. */
     bool drained() const;
 
+    /** True when some controller has a request waiting to issue. */
+    bool anyQueued() const;
+
     /**
      * Earliest cycle >= @p now at which any controller's tick() is
-     * not a no-op; kNoCycle when all are drained. Queued requests
-     * pin their controller to `now` (issue eligibility changes
-     * cycle by cycle); in-flight-only controllers report their
-     * exact next completion, bounded by a due refresh.
+     * not a no-op; kNoCycle when all are drained. Each controller's
+     * advertisement is exact (MemoryController::nextEventCycle): a
+     * queued request whose bank is still busy does not pin it to
+     * `now`.
      */
     Cycle
     nextEventCycle(Cycle now) const
@@ -120,6 +123,11 @@ class MemorySystem
 
     /** Restore state written by saveCkpt(). */
     void loadCkpt(CkptReader &r);
+
+#ifndef NDEBUG
+    /** Run every controller's MemoryController::checkPickGate. */
+    void checkPickGates(Cycle now) const;
+#endif
 
   private:
     const AddressMapping &mapping_;

@@ -421,6 +421,12 @@ GpuSystem::maybeFastForward()
             return sms_[i]->hasPendingCompletions();
         }))
         return;
+    // Decline while a DRAM request is queued, so these jumps, and the
+    // observer samples and checkpoints they defer, do not depend on
+    // the controllers' pick gate. The event driver's grid-clamped jump
+    // still skips the gated cycles.
+    if (mem_->anyQueued())
+        return;
     // A pending program arrival bounds the jump: the tick at the wake
     // cycle must run live so kernel management fires on schedule.
     const Cycle target = std::min({llc_->nextEventCycle(now_),
@@ -783,6 +789,7 @@ GpuSystem::checkActiveSets() const
         e = std::min(e, se);
     }
     llc_->checkActiveSlices(now_);
+    mem_->checkPickGates(now_);
     e = std::min({e, mem_->nextEventCycle(now_),
                   net_->nextEventCycle(now_),
                   llc_->nextEventCycle(now_)});

@@ -285,15 +285,17 @@ class GpuSystem
 #ifndef NDEBUG
     /**
      * Debug reference: panics unless every SM with an event and
-     * every busy LLC slice is active, and eventNextCycle(), the LLC's
-     * nextEventCycle() and totalAtomics() equal full scans.
+     * every busy LLC slice is active, eventNextCycle(), the LLC's
+     * nextEventCycle() and totalAtomics() equal full scans, no
+     * stalled LLC read sleeps through a retry that could succeed, and
+     * no memory controller gates a pick that could issue.
      */
     void checkActiveSets() const;
 #endif
     bool allWorkDone() const;
     /**
      * While every SM is stalled for an LLC reconfiguration and NoC,
-     * DRAM and LLC are quiescent, jump now_ to the next cycle at
+     * DRAM (no request queued) and LLC are quiescent, jump now_ to the next cycle at
      * which anything can happen instead of empty-ticking towards it.
      */
     void maybeFastForward();

@@ -17,7 +17,11 @@
  *  4. a "no silently-inert knobs" regression: every dram_* registry
  *     key, mem_sched and mem_backend must measurably perturb
  *     RunResult on a bank-conflict-heavy synthetic workload;
- *  5. the ablation_memory scenario grid (expansion + emit golden).
+ *  5. the ablation_memory scenario grid (expansion + emit golden);
+ *  6. a DRAM-backpressure golden: full controller queues and stalled
+ *     LLC reads under every scheduler x LLC policy x cycle driver,
+ *     plus a restore from a checkpoint taken while reads are stalled
+ *     and controller picks are gated.
  */
 
 #include <gtest/gtest.h>
@@ -745,6 +749,152 @@ TEST(AblationMemory, DefaultPointMatchesUntouchedDefaults)
     const RunResult a = SweepRunner::runPoint(expanded[0].point);
     const RunResult b = SweepRunner::runPoint(base);
     EXPECT_TRUE(identicalResults(a, b));
+}
+
+// ------------------------------------------- DRAM backpressure golden
+
+/**
+ * A point whose DRAM queues stay full: the bank-conflict stream on
+ * 16 KB slices with 4-entry controller queues and 8 LLC MSHRs, so
+ * slices hold stalled reads while the controllers' picks wait on
+ * busy banks (and adaptive crosses into private mode).
+ */
+SimConfig
+backpressureConfig(const std::string &sched, const std::string &policy,
+                   const std::string &mode)
+{
+    SimConfig cfg = conflictPoint().cfg;
+    cfg.maxCycles = 8000;
+    cfg.missTolerance = 0.3; // let adaptive reconfigure at this scale
+    for (const auto &[key, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"mem_sched", sched},
+             {"llc_policy", policy},
+             {"sim_mode", mode},
+             {"llc_slice_kb", "16"},
+             {"dram_queue_cap", "4"},
+             {"llc_mshrs", "8"}})
+        ConfigRegistry::apply(cfg, key, value);
+    cfg.validate();
+    return cfg;
+}
+
+void
+installBackpressureWorkload(GpuSystem &gpu, const SimConfig &cfg)
+{
+    gpu.setWorkload(0, WorkloadSuite::buildKernels(
+                           conflictPoint().apps[0], cfg.seed, 0));
+}
+
+std::uint64_t
+llcStallCycles(const GpuSystem &gpu)
+{
+    std::uint64_t sum = 0;
+    for (SliceId s = 0; s < gpu.llc().numSlices(); ++s)
+        sum += gpu.llc().slice(s).stats().stallCycles;
+    return sum;
+}
+
+std::string
+checkpointBytes(const GpuSystem &gpu)
+{
+    std::stringstream ss;
+    gpu.checkpoint(ss);
+    return ss.str();
+}
+
+/** Some slice holds a stalled request and some MC's pick is gated. */
+bool
+stalledAndGated(GpuSystem &gpu)
+{
+    bool stalled = false;
+    for (SliceId s = 0; s < gpu.llc().numSlices(); ++s)
+        stalled = stalled || gpu.llc().slice(s).stalled();
+    bool gated = false;
+    for (McId m = 0; m < gpu.memory().numMcs(); ++m) {
+        const MemoryController &mc = gpu.memory().mc(m);
+        gated = gated ||
+            (mc.queuedRequests() != 0 &&
+             mc.nextEventCycle(gpu.now()) > gpu.now());
+    }
+    return stalled && gated;
+}
+
+TEST(DramBackpressure, MatchesGoldenUnderBothDriversAndRestore)
+{
+    // Controllers pick only once a queued request's bank can issue,
+    // and a stalled LLC read is retried only after a fill, a
+    // miss-queue pop or an invalidation could have unblocked it. The
+    // golden CSV was generated by the controller that picked and the
+    // slices that retried every cycle: every emitted column and the
+    // summed slice stall cycles must match it under both drivers.
+    std::vector<scenario::EmitPoint> points;
+    std::vector<RunResult> results;
+    std::vector<std::uint64_t> stalls;
+    for (const char *sched : {"fr_fcfs", "fcfs", "write_drain"}) {
+        for (const char *policy : {"shared", "private", "adaptive"}) {
+            for (const char *mode : {"tick", "event"}) {
+                const SimConfig cfg =
+                    backpressureConfig(sched, policy, mode);
+                GpuSystem gpu(cfg);
+                installBackpressureWorkload(gpu, cfg);
+                results.push_back(gpu.run());
+                stalls.push_back(llcStallCycles(gpu));
+                EXPECT_GT(stalls.back(), 0u) << sched << "/" << policy;
+                EXPECT_GT(results.back().dramQueueRejects, 0u)
+                    << sched << "/" << policy;
+                points.push_back(
+                    {std::string(sched) + "/" + policy + "/" + mode,
+                     {{"mem_sched", sched},
+                      {"llc_policy", policy},
+                      {"sim_mode", mode}}});
+                if (std::string(mode) == "tick")
+                    continue;
+                EXPECT_TRUE(identicalResults(
+                    results[results.size() - 2], results.back()))
+                    << points.back().label;
+
+                // Restore from a checkpoint taken while a read is
+                // stalled and a pick is gated (neither the retry
+                // flag nor the gate is checkpointed), then finish:
+                // same result, same final checkpoint bytes.
+                SimConfig head = cfg;
+                head.maxCycles = 1;
+                GpuSystem first(head);
+                installBackpressureWorkload(first, head);
+                first.run();
+                while (!stalledAndGated(first) &&
+                       first.now() < cfg.maxCycles)
+                    first.step(1);
+                ASSERT_LT(first.now(), cfg.maxCycles)
+                    << points.back().label
+                    << ": never stalled with a gated pick";
+                std::stringstream ckpt;
+                first.checkpoint(ckpt);
+                GpuSystem resumed(cfg);
+                installBackpressureWorkload(resumed, cfg);
+                resumed.restore(ckpt);
+                EXPECT_TRUE(
+                    identicalResults(results.back(), resumed.run()))
+                    << points.back().label << " restored at "
+                    << first.now();
+                EXPECT_EQ(checkpointBytes(gpu), checkpointBytes(resumed))
+                    << points.back().label;
+            }
+        }
+    }
+
+    // The emitted CSV with the summed slice stall cycles appended.
+    std::istringstream emitted(scenario::emitCsv(points, results));
+    std::string csv;
+    std::string line;
+    std::getline(emitted, line);
+    csv += line + ",llc_stall_cycles\n";
+    for (const std::uint64_t sum : stalls) {
+        std::getline(emitted, line);
+        csv += line + "," + std::to_string(sum) + "\n";
+    }
+    checkGolden("dram_backpressure.csv", csv);
 }
 
 } // namespace
