@@ -1,6 +1,8 @@
 /**
  * @file
- * Shared helpers for the figure/table reproduction benches.
+ * Shared helpers of the bench programs: Fig 15 (its STP divides by a
+ * second grid, which a scenario's expect block cannot state), the
+ * tables, the ablations and the bench harness.
  *
  * Every bench accepts SimConfig key=value overrides plus:
  *   max_cycles=N   simulated cycles per run (default 60000)
@@ -8,11 +10,9 @@
  *   threads=N      sweep worker threads (default: all cores, or
  *                  AMSC_SWEEP_THREADS)
  *
- * Benches build their whole (config, workload) grid as SweepPoints,
- * execute it on the SweepRunner thread pool, and print GitHub-
- * flavoured markdown tables plus ASCII bars from the order-stable
- * results, so the series can be compared against the paper's figures
- * directly. Results are bit-identical at any thread count.
+ * Benches build their whole grid as SweepPoints, run it on the
+ * SweepRunner thread pool and print markdown tables from the
+ * order-stable results, bit-identical at any thread count.
  */
 
 #ifndef AMSC_BENCH_BENCH_UTIL_HH
@@ -69,7 +69,16 @@ runAndEmit(const KvArgs &args, const SweepRunner &runner,
            const std::vector<SweepPoint> &points)
 {
     std::vector<RunResult> results = runner.run(points);
-    scenario::maybeEmit(args, points, results);
+    std::vector<scenario::EmitPoint> labels;
+    for (const SweepPoint &p : points)
+        labels.push_back({p.label, {}});
+    const std::string json = args.getString("json", "");
+    const std::string csv = args.getString("csv", "");
+    if (!json.empty())
+        scenario::writeOut(scenario::emitJson("bench", labels, results),
+                           json);
+    if (!csv.empty())
+        scenario::writeOut(scenario::emitCsv(labels, results), csv);
     return results;
 }
 
@@ -85,32 +94,15 @@ policyPoint(SimConfig cfg, const WorkloadSpec &spec, LlcPolicy policy)
     return p;
 }
 
-/**
- * Indices of one workload's {shared, private, adaptive} sweep points
- * inside the grid they were pushed into.
- */
-struct PolicyTriple
-{
-    std::size_t shared;
-    std::size_t priv;
-    std::size_t adaptive;
-};
-
-/**
- * Append shared/private/adaptive points for @p spec to @p points and
- * return their indices, so result consumption cannot drift from the
- * grid construction order.
- */
-inline PolicyTriple
+/** Append shared, private and adaptive points for @p spec. */
+inline void
 pushPolicyTriple(std::vector<SweepPoint> &points, const SimConfig &cfg,
                  const WorkloadSpec &spec)
 {
-    const PolicyTriple t{points.size(), points.size() + 1,
-                         points.size() + 2};
-    points.push_back(policyPoint(cfg, spec, LlcPolicy::ForceShared));
-    points.push_back(policyPoint(cfg, spec, LlcPolicy::ForcePrivate));
-    points.push_back(policyPoint(cfg, spec, LlcPolicy::Adaptive));
-    return t;
+    for (const LlcPolicy policy : {LlcPolicy::ForceShared,
+                                   LlcPolicy::ForcePrivate,
+                                   LlcPolicy::Adaptive})
+        points.push_back(policyPoint(cfg, spec, policy));
 }
 
 /** Run one workload under one LLC policy (single-point shorthand). */
@@ -121,20 +113,6 @@ runWorkload(SimConfig cfg, const WorkloadSpec &spec, LlcPolicy policy)
         policyPoint(std::move(cfg), spec, policy));
 }
 
-/** Render a fixed-width ASCII bar for value in [0, max]. */
-inline std::string
-bar(double value, double max, int width = 24)
-{
-    if (max <= 0.0)
-        max = 1.0;
-    int n = static_cast<int>(value / max * width + 0.5);
-    if (n < 0)
-        n = 0;
-    if (n > width)
-        n = width;
-    return std::string(static_cast<std::size_t>(n), '#');
-}
-
 /** Print a markdown table separator row of @p cols columns. */
 inline void
 printRule(int cols)
@@ -142,21 +120,6 @@ printRule(int cols)
     for (int i = 0; i < cols; ++i)
         std::printf("|---");
     std::printf("|\n");
-}
-
-/** Pretty class name used in the figure groupings. */
-inline const char *
-className(WorkloadClass c)
-{
-    switch (c) {
-      case WorkloadClass::SharedFriendly:
-        return "shared cache friendly";
-      case WorkloadClass::PrivateFriendly:
-        return "private cache friendly";
-      case WorkloadClass::Neutral:
-        return "shared/private neutral";
-    }
-    return "?";
 }
 
 } // namespace amsc::bench

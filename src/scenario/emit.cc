@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "common/atomic_io.hh"
+#include "common/error.hh"
 #include "common/log.hh"
+#include "common/strutil.hh"
 #include "power/gpu_energy.hh"
 #include "power/noc_power.hh"
 
@@ -32,8 +35,8 @@ struct Cell
 
 /**
  * The metric schema. Power/energy are derived from the activity
- * snapshots with the same models the figure benches use (1.4 GHz
- * core clock), so the emitted row is self-contained.
+ * snapshots with the NoC power and GPU energy models (1.4 GHz core
+ * clock), so the emitted row is self-contained.
  */
 std::vector<Cell>
 metricCells(const RunResult &r)
@@ -126,6 +129,23 @@ servingCells(const RunResult &r)
     };
 }
 
+/** Metric then serving cells of @p r. */
+std::vector<Cell>
+allCells(const RunResult &r)
+{
+    auto cells = metricCells(r);
+    const auto serving = servingCells(r);
+    cells.insert(cells.end(), serving.begin(), serving.end());
+    return cells;
+}
+
+bool
+anyError(const std::vector<std::string> &errors)
+{
+    return std::any_of(errors.begin(), errors.end(),
+                       [](const std::string &e) { return !e.empty(); });
+}
+
 bool
 anyServing(const std::vector<RunResult> &results)
 {
@@ -190,6 +210,23 @@ servingColumns()
     return cols;
 }
 
+double
+metricValue(const RunResult &r, const std::string &column)
+{
+    std::vector<std::string> numeric;
+    for (const Cell &c : allCells(r)) {
+        char *end = nullptr;
+        const double v = std::strtod(c.value.c_str(), &end);
+        if (c.quoted || *end != '\0')
+            continue;
+        if (c.name == column)
+            return v;
+        numeric.push_back(c.name);
+    }
+    throw ConfigError("unknown column '" + column + "'; nearest is '" +
+                      nearestOf(column, numeric) + "'");
+}
+
 std::vector<EmitPoint>
 emitPoints(const std::vector<ExpandedPoint> &points)
 {
@@ -197,16 +234,6 @@ emitPoints(const std::vector<ExpandedPoint> &points)
     out.reserve(points.size());
     for (const ExpandedPoint &p : points)
         out.push_back({p.point.label, p.coords});
-    return out;
-}
-
-std::vector<EmitPoint>
-emitPoints(const std::vector<SweepPoint> &points)
-{
-    std::vector<EmitPoint> out;
-    out.reserve(points.size());
-    for (const SweepPoint &p : points)
-        out.push_back({p.label, {}});
     return out;
 }
 
@@ -223,25 +250,10 @@ axisColumns(const std::vector<EmitPoint> &points)
     return out;
 }
 
-namespace
-{
-
-bool
-anyError(const std::vector<std::string> *errors)
-{
-    if (!errors)
-        return false;
-    for (const std::string &e : *errors) {
-        if (!e.empty())
-            return true;
-    }
-    return false;
-}
-
 std::string
-emitCsvImpl(const std::vector<EmitPoint> &points,
-            const std::vector<RunResult> &results,
-            const std::vector<std::string> *errors)
+emitCsv(const std::vector<EmitPoint> &points,
+        const std::vector<RunResult> &results,
+        const std::vector<std::string> &errors)
 {
     const bool with_errors = anyError(errors);
     const bool with_serving = anyServing(results);
@@ -277,37 +289,17 @@ emitCsvImpl(const std::vector<EmitPoint> &points,
                 os << "," << c.value;
         }
         if (with_errors)
-            os << "," << csvField((*errors)[i]);
+            os << "," << csvField(errors[i]);
         os << "\n";
     }
     return os.str();
 }
 
-} // namespace
-
 std::string
-emitCsv(const std::vector<EmitPoint> &points,
-        const std::vector<RunResult> &results)
-{
-    return emitCsvImpl(points, results, nullptr);
-}
-
-std::string
-emitCsv(const std::vector<EmitPoint> &points,
-        const std::vector<RunResult> &results,
-        const std::vector<std::string> &errors)
-{
-    return emitCsvImpl(points, results, &errors);
-}
-
-namespace
-{
-
-std::string
-emitJsonImpl(const std::string &scenario,
-             const std::vector<EmitPoint> &points,
-             const std::vector<RunResult> &results,
-             const std::vector<std::string> *errors)
+emitJson(const std::string &scenario,
+         const std::vector<EmitPoint> &points,
+         const std::vector<RunResult> &results,
+         const std::vector<std::string> &errors)
 {
     const bool with_errors = anyError(errors);
     const bool with_serving = anyServing(results);
@@ -323,11 +315,8 @@ emitJsonImpl(const std::string &scenario,
                << jsonEscape(points[i].coords[a].second) << "\"";
         }
         os << "}, \"metrics\": {";
-        auto cells = metricCells(results[i]);
-        if (with_serving) {
-            const auto serving = servingCells(results[i]);
-            cells.insert(cells.end(), serving.begin(), serving.end());
-        }
+        const auto cells = with_serving ? allCells(results[i])
+                                        : metricCells(results[i]);
         for (std::size_t c = 0; c < cells.size(); ++c) {
             os << (c ? ", " : "") << "\"" << cells[c].name << "\": ";
             if (cells[c].quoted)
@@ -337,31 +326,12 @@ emitJsonImpl(const std::string &scenario,
         }
         os << "}";
         if (with_errors)
-            os << ", \"error\": \"" << jsonEscape((*errors)[i])
+            os << ", \"error\": \"" << jsonEscape(errors[i])
                << "\"";
         os << "}" << (i + 1 < points.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
     return os.str();
-}
-
-} // namespace
-
-std::string
-emitJson(const std::string &scenario,
-         const std::vector<EmitPoint> &points,
-         const std::vector<RunResult> &results)
-{
-    return emitJsonImpl(scenario, points, results, nullptr);
-}
-
-std::string
-emitJson(const std::string &scenario,
-         const std::vector<EmitPoint> &points,
-         const std::vector<RunResult> &results,
-         const std::vector<std::string> &errors)
-{
-    return emitJsonImpl(scenario, points, results, &errors);
 }
 
 std::string
@@ -390,18 +360,6 @@ writeOut(const std::string &content, const std::string &path)
         return;
     }
     writeFileAtomic(path, content);
-}
-
-void
-maybeEmit(const KvArgs &args, const std::vector<SweepPoint> &points,
-          const std::vector<RunResult> &results)
-{
-    const std::string json = args.getString("json", "");
-    const std::string csv = args.getString("csv", "");
-    if (!json.empty())
-        writeOut(emitJson("bench", emitPoints(points), results), json);
-    if (!csv.empty())
-        writeOut(emitCsv(emitPoints(points), results), csv);
 }
 
 } // namespace amsc::scenario

@@ -6,8 +6,8 @@
  * %.17g doubles so values round-trip bit-exactly), JSON (one object
  * per point, axis coordinates included), and a human markdown table
  * for `amsc run`. The NoC power/area and system-energy models are
- * evaluated per point, so figure benches that derive energy numbers
- * (fig 7/14) are reproducible from the emitted raw columns alone.
+ * evaluated per point, so the energy claims of fig 7/14 are checked
+ * from the emitted raw columns alone (metricValue).
  */
 
 #ifndef AMSC_SCENARIO_EMIT_HH
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/kvargs.hh"
 #include "scenario/scenario.hh"
 #include "sim/gpu_system.hh"
 #include "sim/sweep.hh"
@@ -36,10 +35,6 @@ struct EmitPoint
 std::vector<EmitPoint>
 emitPoints(const std::vector<ExpandedPoint> &points);
 
-/** Emit metadata of a bench SweepPoint grid (labels only). */
-std::vector<EmitPoint>
-emitPoints(const std::vector<SweepPoint> &points);
-
 /** Ordered union of axis names across @p points. */
 std::vector<std::string>
 axisColumns(const std::vector<EmitPoint> &points);
@@ -55,31 +50,32 @@ const std::vector<std::string> &metricColumns();
  */
 const std::vector<std::string> &servingColumns();
 
-/** CSV: header plus one row per point. */
-std::string emitCsv(const std::vector<EmitPoint> &points,
-                    const std::vector<RunResult> &results);
+/**
+ * Value of the numeric metric or serving column @p column of @p r,
+ * exactly as emitted; ConfigError naming the nearest numeric column
+ * if there is no such column.
+ */
+double metricValue(const RunResult &r, const std::string &column);
 
 /**
- * CSV with per-point failure annotations (sweep_on_error=skip). When
- * every entry of @p errors is empty the output is byte-identical to
- * the plain overload; otherwise a trailing "error" column carries
- * the SimError text of each failed point (whose metric cells are the
- * default-constructed RunResult's).
+ * CSV: header plus one row per point. When an entry of @p errors
+ * (per-point failure text, sweep_on_error=skip) is non-empty, a
+ * trailing "error" column carries it, and a failed point's metric
+ * cells are the default-constructed RunResult's; otherwise the output
+ * is the same as without @p errors.
  */
 std::string emitCsv(const std::vector<EmitPoint> &points,
                     const std::vector<RunResult> &results,
-                    const std::vector<std::string> &errors);
+                    const std::vector<std::string> &errors = {});
 
-/** JSON: {"scenario": name, "points": [{label, axes, metrics}]}. */
-std::string emitJson(const std::string &scenario,
-                     const std::vector<EmitPoint> &points,
-                     const std::vector<RunResult> &results);
-
-/** JSON with failure annotations; same contract as the CSV overload. */
+/**
+ * JSON: {"scenario": name, "points": [{label, axes, metrics}]}, with
+ * @p errors as for the CSV.
+ */
 std::string emitJson(const std::string &scenario,
                      const std::vector<EmitPoint> &points,
                      const std::vector<RunResult> &results,
-                     const std::vector<std::string> &errors);
+                     const std::vector<std::string> &errors = {});
 
 /** Markdown summary table (amsc run's default output). */
 std::string renderTable(const std::vector<EmitPoint> &points,
@@ -87,14 +83,6 @@ std::string renderTable(const std::vector<EmitPoint> &points,
 
 /** Write @p content to @p path ("-" or "" = stdout). */
 void writeOut(const std::string &content, const std::string &path);
-
-/**
- * Bench hook: honour `json=FILE` / `csv=FILE` command-line keys by
- * dumping the grid's raw results next to the bench's table output.
- */
-void maybeEmit(const KvArgs &args,
-               const std::vector<SweepPoint> &points,
-               const std::vector<RunResult> &results);
 
 } // namespace amsc::scenario
 

@@ -6,6 +6,7 @@
 #include "common/error.hh"
 #include "common/log.hh"
 #include "common/strutil.hh"
+#include "scenario/expect.hh"
 #include "scenario/schema.hh"
 #include "trace/trace_reader.hh"
 #include "workloads/llm_inference.hh"
@@ -203,19 +204,27 @@ parseApp(const KvArgs &kv, const std::string &prefix,
     return a;
 }
 
-/** Axis keys: any config key, or the scenario-level axis keys. */
-void
-validateAxisKey(const std::string &key, const std::string &origin)
+/**
+ * The sweep axis @p key of flat key @p flat_key, whose name is a
+ * config key or a scenario-level axis key; its name joins @p names.
+ */
+SweepAxis
+parseAxis(const KvArgs &kv, const std::string &flat_key,
+          const std::string &key, const std::string &origin,
+          std::vector<std::string> &names)
 {
-    if (ConfigRegistry::find(key))
-        return;
-    for (const SchemaKey &k : axisKeys()) {
-        if (key == k.name)
-            return;
-    }
-    throw ConfigError(strfmt("%s: unknown sweep axis '%s'; nearest is '%s'",
-          origin.c_str(), key.c_str(),
-          suggestScenarioKey("sweep." + key).c_str()));
+    if (!ConfigRegistry::find(key) &&
+        std::none_of(axisKeys().begin(), axisKeys().end(),
+                     [&](const SchemaKey &k) { return key == k.name; }))
+        throw ConfigError(strfmt("%s: unknown sweep axis '%s'; nearest is '%s'",
+              origin.c_str(), key.c_str(),
+              suggestScenarioKey("sweep." + key).c_str()));
+    SweepAxis axis{key, kv.getList(flat_key)};
+    if (axis.values.empty())
+        throw ConfigError(strfmt("%s: sweep axis '%s' has no values",
+                                 origin.c_str(), key.c_str()));
+    names.push_back(key);
+    return axis;
 }
 
 std::string
@@ -314,32 +323,18 @@ Scenario::fromKv(KvArgs kv, const std::string &origin)
         it->second.emplace_back(leaf, kv.getString(key));
     }
 
-    for (const std::string &key : kv.keysWithPrefix("sweep.")) {
-        const std::string leaf = key.substr(6);
-        validateAxisKey(leaf, origin);
-        SweepAxis axis;
-        axis.key = leaf;
-        axis.values = kv.getList(key);
-        if (axis.values.empty())
-            throw ConfigError(strfmt("%s: sweep axis '%s' has no values", origin.c_str(),
-                  leaf.c_str()));
-        s.axes_.push_back(std::move(axis));
-    }
+    std::vector<std::string> axis_names;
+    for (const std::string &key : kv.keysWithPrefix("sweep."))
+        s.axes_.push_back(
+            parseAxis(kv, key, key.substr(6), origin, axis_names));
 
     for (const std::string &gp : blockPrefixes(kv, "grid")) {
         ScenarioGrid g;
         for (const std::string &key : kv.keysWithPrefix(gp + ".")) {
             const std::string leaf = key.substr(gp.size() + 1);
             if (startsWith(leaf, "sweep.")) {
-                const std::string axis_key = leaf.substr(6);
-                validateAxisKey(axis_key, origin);
-                SweepAxis axis;
-                axis.key = axis_key;
-                axis.values = kv.getList(key);
-                if (axis.values.empty())
-                    throw ConfigError(strfmt("%s: sweep axis '%s' has no values",
-                          origin.c_str(), axis_key.c_str()));
-                g.axes.push_back(std::move(axis));
+                g.axes.push_back(parseAxis(kv, key, leaf.substr(6),
+                                           origin, axis_names));
             } else if (leaf == "workload") {
                 g.apps = appsFromWorkload(kv.getString(key), origin);
             } else if (ConfigRegistry::find(leaf)) {
@@ -353,6 +348,8 @@ Scenario::fromKv(KvArgs kv, const std::string &origin)
         }
         s.grids_.push_back(std::move(g));
     }
+
+    s.relations_ = parseRelations(kv, origin, axis_names);
 
     for (const std::string &key : kv.unusedKeys())
         throw ConfigError(strfmt("%s: unknown scenario key '%s'; nearest is '%s'",
@@ -485,8 +482,8 @@ Scenario::buildPoint(
         p.label = name_;
 
     // Inter-cluster sharing runs collect their Fig-3 buckets through
-    // a post hook that closes the final tracker window (mirrors
-    // bench/fig03_intercluster_locality.cc).
+    // a post hook that closes the final tracker window, which the
+    // in-run collection would otherwise read mid-window.
     if (cfg.trackSharing) {
         const Cycle flush_at = cfg.maxCycles + 1000;
         p.post = [flush_at](GpuSystem &gpu, RunResult &r) {
@@ -622,11 +619,11 @@ dumpApp(std::ostringstream &os, const AppSpec &a)
 
 void
 dumpAxes(std::ostringstream &os, const std::vector<SweepAxis> &axes,
-         const std::string &indent)
+         const std::string &indent, const char *block = "sweep")
 {
     if (axes.empty())
         return;
-    os << indent << "sweep {\n";
+    os << indent << block << " {\n";
     for (const SweepAxis &axis : axes) {
         os << indent << "  " << axis.key << " = ";
         for (std::size_t i = 0; i < axis.values.size(); ++i)
@@ -673,6 +670,25 @@ Scenario::dumpText() const
         dumpAxes(os, g.axes, "  ");
         os << "}\n";
     }
+    if (!relations_.empty())
+        os << "expect {\n";
+    for (const Relation &r : relations_) {
+        os << "  " << r.name << " {\n";
+        dumpAxes(os, r.where, "    ", "where");
+        if (!r.pairAxis.empty())
+            os << "    pair = " << r.pairAxis << ": " << r.of << " "
+               << r.op << " " << r.to << "\n";
+        os << "    metric = " << r.metric[0]
+           << (r.metric.size() > 1 ? "/" + r.metric[1] : "") << "\n"
+           << "    agg = " << r.agg << "\n    holds = " << r.cmp << " "
+           << r.rhs << "\n    paper = " << r.paper << "\n";
+        if (!r.knownDeviation.empty())
+            os << "    known_deviation = " << dumpValue(r.knownDeviation)
+               << "\n";
+        os << "  }\n";
+    }
+    if (!relations_.empty())
+        os << "}\n";
     return os.str();
 }
 

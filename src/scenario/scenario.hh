@@ -8,8 +8,11 @@
  * override sets, and sweep axes. expand() turns it into the cartesian
  * sweep grid -- a vector of SweepPoints ready for SweepRunner -- with
  * per-point axis coordinates for the CSV/JSON emitters, so every
- * `bench/fig*.cc` experiment is reproducible from a checked-in file
- * (see scenarios/) and new experiments need no C++ driver at all.
+ * figure of the paper is reproducible from a checked-in file (see
+ * scenarios/) and new experiments need no C++ driver at all. An
+ * optional `expect { }` block states the paper's claims about the
+ * grid as relations that `amsc` checks after a full run
+ * (scenario/expect.hh).
  */
 
 #ifndef AMSC_SCENARIO_SCENARIO_HH
@@ -61,6 +64,17 @@ struct ScenarioGrid
     std::vector<SweepAxis> axes;
 };
 
+/** One named paper claim of an `expect { }` block (expect.hh). */
+struct Relation
+{
+    std::string name;
+    std::vector<SweepAxis> where; ///< point filter: listed coordinates
+    std::string pairAxis, of, to; ///< pairing ("" = none): of op to
+    std::string op;               ///< "/" ratio or "-" difference
+    std::vector<std::string> metric; ///< column, or two for a quotient
+    std::string agg, cmp, rhs, paper, knownDeviation;
+};
+
 /** One expanded simulation point plus its axis coordinates. */
 struct ExpandedPoint
 {
@@ -107,6 +121,9 @@ class Scenario
     /** Expand every grid into ordered, ready-to-run sweep points. */
     std::vector<ExpandedPoint> expand() const;
 
+    /** The `expect { }` relations, file order. */
+    const std::vector<Relation> &relations() const { return relations_; }
+
     /**
      * Canonical scenario text: parse(dump()) reproduces this
      * scenario exactly (round-trip tested for every shipped file).
@@ -133,6 +150,7 @@ class Scenario
     std::vector<std::pair<std::string, KvPairs>> variants_;
     std::vector<SweepAxis> axes_;    ///< scenario-level axes
     std::vector<ScenarioGrid> grids_; ///< empty = one implicit grid
+    std::vector<Relation> relations_;
 };
 
 } // namespace amsc::scenario

@@ -90,6 +90,25 @@ axisKeys()
     return keys;
 }
 
+const std::vector<SchemaKey> &
+relationKeys()
+{
+    static const std::vector<SchemaKey> keys = {
+        {"where.<axis>", "Keep the points whose coordinate is listed."},
+        {"pair",
+         "`<axis>: <a> / <b>`: ratio of each point at `a` to its partner "
+         "at `b` (equal on every other axis); `- <b>`: difference."},
+        {"metric", "A numeric column, or a quotient of two (`a/b`)."},
+        {"agg", "Aggregate: hmean, mean, min or max."},
+        {"holds", "`>`, `>=`, `<` or `<=`, then a number or a relation."},
+        {"paper", "The paper's value; printed, never a bound."},
+        {"known_deviation",
+         "Measured vs paper, for a claim the model misses; the relation "
+         "must then fail."},
+    };
+    return keys;
+}
+
 namespace
 {
 
@@ -169,6 +188,10 @@ suggestScenarioKey(const std::string &flat_key)
         if (i >= parts.size())
             return prefix + "workload";
         return prefix + suggestIn(leafOf(), appKeys(), false);
+    }
+    if (parts[i] == "expect" && i + 1 < parts.size()) {
+        eat(i + 2 < parts.size() ? 2 : 1); // "expect" [, "<relation>"]
+        return prefix + suggestIn(leafOf(), relationKeys(), false);
     }
     if (parts[i] == "variant" && i + 2 < parts.size()) {
         eat(2); // "variant", "<name>"
@@ -300,6 +323,15 @@ renderConfigMarkdown()
           "  workload = LUD, SP, AN  # first axis varies slowest\n"
           "  llc_policy = shared, private, adaptive\n"
           "}\n"
+          "expect {                  # the paper's claims\n"
+          "  metric = ipc            # a default for every relation\n"
+          "  gain {\n"
+          "    pair = llc_policy: adaptive / shared\n"
+          "    agg = hmean\n"
+          "    holds = > 1\n"
+          "    paper = 1.281\n"
+          "  }\n"
+          "}\n"
           "```\n"
           "\n"
           "Blocks flatten to dotted keys (`config.max_cycles`), so "
@@ -331,6 +363,23 @@ renderConfigMarkdown()
           "plus:\n"
           "\n";
     renderSchemaTable(os, axisKeys());
+    os << "### `expect { }` relations\n"
+          "\n"
+          "Named relations state the paper's claims about the grid. "
+          "`amsc run`,\n"
+          "`sweep` and `merge` check them once the whole grid has run "
+          "as the file\n"
+          "states it, print a measured-vs-paper table to stderr and, "
+          "after their\n"
+          "normal output, exit 1 if one fails. `--smoke`, command-line "
+          "overrides\n"
+          "and missing or failed points leave a relation `not "
+          "evaluated`; shard\n"
+          "runs check nothing (`merge` does). A key set directly in "
+          "`expect { }`\n"
+          "is a default for every relation.\n"
+          "\n";
+    renderSchemaTable(os, relationKeys());
     return os.str();
 }
 

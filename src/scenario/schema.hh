@@ -7,8 +7,9 @@
  * A scenario file has scenario-level keys (name, workload, ...),
  * `config { }` blocks of SimConfig registry keys, `app { }` blocks
  * describing per-application workloads, named `variant.<v> { }`
- * override sets, `sweep { }` axes and optional `grid { }` sub-grids
- * (see docs/configuration.md for the full grammar). The schema is
+ * override sets, `sweep { }` axes, optional `grid { }` sub-grids
+ * and an optional `expect { }` block of paper claims (see
+ * docs/configuration.md for the full grammar). The schema is
  * data, so `amsc describe` and the unknown-key error paths stay
  * mechanically in sync with what the parser accepts.
  */
@@ -37,6 +38,9 @@ const std::vector<SchemaKey> &appKeys();
 
 /** Keys accepted as sweep axes besides SimConfig registry keys. */
 const std::vector<SchemaKey> &axisKeys();
+
+/** Keys of one relation inside an `expect { }` block. */
+const std::vector<SchemaKey> &relationKeys();
 
 /**
  * Nearest valid spelling of a flat (dotted) scenario key, scope-aware:

@@ -4,8 +4,9 @@
  * round-tripping of every shipped `.scn` file, sweep-grid expansion
  * (counts, axis ordering, variants, multi-grid, multi-program
  * policies), bit-exact equivalence of the fig11 scenario with the
- * hand-written bench grid, emitter golden files, and unknown-key
- * error messages naming the nearest valid key.
+ * hand-written bench grid, emitter golden files, unknown-key
+ * error messages naming the nearest valid key, and the evaluation of
+ * `expect { }` relations on hand-built grids.
  *
  * Set AMSC_UPDATE_GOLDEN=1 to rewrite tests/golden/ from the current
  * emitters.
@@ -23,6 +24,7 @@
 
 #include "common/kvargs.hh"
 #include "scenario/emit.hh"
+#include "scenario/expect.hh"
 #include "scenario/scenario.hh"
 #include "scenario/schema.hh"
 #include "sim/sweep.hh"
@@ -171,6 +173,9 @@ TEST(Scenario, ShippedFilesParseExpandAndRoundTrip)
             Scenario::parseScnText(dumped, path + "<dump>"),
             path + "<dump>");
         EXPECT_EQ(dumped, reparsed.dumpText());
+        EXPECT_EQ(reparsed.relations().size(), s.relations().size());
+        EXPECT_EQ(dumped.find("expect {") != std::string::npos,
+                  !s.relations().empty());
         const auto repoints = reparsed.expand();
         ASSERT_EQ(points.size(), repoints.size());
         for (std::size_t i = 0; i < points.size(); ++i) {
@@ -182,24 +187,31 @@ TEST(Scenario, ShippedFilesParseExpandAndRoundTrip)
     }
 }
 
-TEST(Scenario, EveryFigureBenchHasAScenario)
+TEST(Scenario, EveryFigureScenarioHasExpectOrABenchProgram)
 {
-    std::vector<std::string> figs;
-    for (const auto &e : std::filesystem::directory_iterator(
-             kSourceDir + "/bench")) {
-        const std::string stem = e.path().stem().string();
-        if (stem.rfind("fig", 0) == 0)
-            figs.push_back(stem);
+    // A figure's paper claims live in its scenario's expect block;
+    // only a figure no relation can state keeps a same-named bench
+    // program (fig15: STP divides by a second grid's alone runs).
+    std::size_t figs = 0, benches = 0;
+    for (const std::string &path : shippedScenarios()) {
+        const std::string stem =
+            std::filesystem::path(path).stem().string();
+        if (stem.rfind("fig", 0) != 0)
+            continue;
+        SCOPED_TRACE(stem);
+        ++figs;
+        const bool bench = std::filesystem::exists(
+            kSourceDir + "/bench/" + stem + ".cc");
+        benches += bench;
+        EXPECT_TRUE(bench || !Scenario::load(path).relations().empty())
+            << "scenarios/" << stem
+            << ".scn needs an expect block or bench/" << stem << ".cc";
     }
-    ASSERT_GE(figs.size(), 9u);
-    for (const std::string &fig : figs) {
-        EXPECT_TRUE(std::filesystem::exists(
-            kSourceDir + "/scenarios/" + fig + ".scn"))
-            << "missing scenarios/" << fig << ".scn";
-    }
+    EXPECT_GE(figs, 9u);
+    EXPECT_EQ(benches, 1u);
 }
 
-// ------------------------------------------- fig11 == bench grid
+// ------------------------------------------- fig11 == C++ grid
 
 namespace
 {
@@ -216,7 +228,10 @@ fig11BenchConfig()
     return cfg;
 }
 
-/** The bench/fig11_performance.cc grid, verbatim. */
+/**
+ * The Fig 11 grid built by hand in C++ (class order, then policy):
+ * the reference the scenario's expansion is pinned to.
+ */
 std::vector<SweepPoint>
 fig11BenchPoints(const SimConfig &cfg)
 {
@@ -568,4 +583,241 @@ TEST(Emit, CsvQuotesFieldsContainingCommas)
     // RFC-4180: embedded commas quoted, embedded quotes doubled --
     // the row keeps exactly one cell per header column.
     EXPECT_NE(csv.find("\n\"a,b\",\"x\"\"y\","), std::string::npos);
+}
+
+// ------------------------------------------- expect relations
+
+namespace
+{
+
+using Verdict = scenario::RelationOutcome::Verdict;
+
+/** A 2 x 2 grid (AN, RN) x (shared, adaptive) with @p expect. */
+Scenario
+expectScenario(const std::string &expect)
+{
+    return Scenario::fromKv(
+        Scenario::parseScnText("sweep {\n"
+                               "  workload = AN, RN\n"
+                               "  llc_policy = shared, adaptive\n"
+                               "}\n"
+                               "expect {\n" +
+                                   expect + "}\n",
+                               "e.scn"),
+        "e.scn");
+}
+
+/** The adaptive/shared IPC gain of every workload. */
+const std::string kGain = "  pair = llc_policy: adaptive / shared\n"
+                          "  metric = ipc\n"
+                          "  agg = hmean\n";
+
+/** Hand-built results: shared IPC 1, adaptive IPC @p adaptive_ipc. */
+std::vector<RunResult>
+gridResults(const std::vector<EmitPoint> &points, double adaptive_ipc)
+{
+    std::vector<RunResult> results(points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const bool adaptive = points[i].coords[1].second == "adaptive";
+        results[i].ipc = adaptive ? adaptive_ipc : 1.0;
+        results[i].cycles = 1000;
+        results[i].instructions = adaptive ? 3000 : 1000;
+        results[i].llcReadMissRate = adaptive ? 0.25 : 0.5;
+    }
+    return results;
+}
+
+std::vector<scenario::RelationOutcome>
+evaluate(const Scenario &s, double adaptive_ipc,
+         const std::vector<std::string> &errors = {},
+         const std::string &skip = "")
+{
+    const auto points = scenario::emitPoints(s.expand());
+    return scenario::evaluateRelations(
+        s.relations(), points, gridResults(points, adaptive_ipc),
+        errors.empty() ? std::vector<std::string>(points.size())
+                       : errors,
+        skip);
+}
+
+} // namespace
+
+TEST(Expect, RelationThatHoldsPasses)
+{
+    const Scenario s = expectScenario(
+        kGain + "  gain {\n    holds = > 1\n    paper = 1.28\n  }\n");
+    const auto out = evaluate(s, 2.0);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].verdict, Verdict::Pass);
+    EXPECT_DOUBLE_EQ(out[0].measured, 2.0);
+    EXPECT_EQ(scenario::countFailures(out), 0u);
+    const std::string table = scenario::renderOutcomes(s.relations(), out);
+    EXPECT_NE(table.find("| gain | 2 | > 1 | 1.28 | PASS |"),
+              std::string::npos)
+        << table;
+}
+
+TEST(Expect, ViolatedRelationFails)
+{
+    const Scenario s = expectScenario(
+        kGain + "  gain {\n    holds = > 1\n    paper = 1.28\n  }\n");
+    const auto out = evaluate(s, 0.5);
+    EXPECT_EQ(out[0].verdict, Verdict::Violated);
+    EXPECT_EQ(scenario::countFailures(out), 1u);
+}
+
+TEST(Expect, KnownDeviationFailsInBothDirections)
+{
+    const Scenario s = expectScenario(
+        kGain + "  gain {\n    holds = > 1\n    paper = 1.28\n"
+                "    known_deviation = \"0.5 vs paper 1.28\"\n  }\n");
+    // Tagged and violated: reported, not a failure.
+    const auto violated = evaluate(s, 0.5);
+    EXPECT_EQ(violated[0].verdict, Verdict::Deviation);
+    EXPECT_EQ(scenario::countFailures(violated), 0u);
+    EXPECT_NE(scenario::renderOutcomes(s.relations(), violated)
+                  .find("DEVIATION (known: 0.5 vs paper 1.28)"),
+              std::string::npos);
+    // Tagged but holding: the tag is stale, which is a failure.
+    const auto holds = evaluate(s, 2.0);
+    EXPECT_EQ(holds[0].verdict, Verdict::StaleTag);
+    EXPECT_EQ(scenario::countFailures(holds), 1u);
+}
+
+TEST(Expect, MissingPointIsNotEvaluated)
+{
+    const Scenario s = expectScenario(
+        kGain + "  gain {\n    where.workload = AN, RN\n"
+                "    holds = > 1\n    paper = 1.28\n  }\n");
+    // The grid without RN (as after sweep.workload=AN).
+    const auto all = scenario::emitPoints(s.expand());
+    const std::vector<EmitPoint> an(all.begin(), all.begin() + 2);
+    auto out = scenario::evaluateRelations(
+        s.relations(), an, gridResults(an, 2.0), {"", ""});
+    EXPECT_EQ(out[0].verdict, Verdict::NotEvaluated);
+    EXPECT_EQ(out[0].reason, "missing point workload=RN");
+    EXPECT_EQ(scenario::countFailures(out), 0u);
+
+    // A point without its pair partner.
+    const std::vector<EmitPoint> no_partner(all.begin(), all.begin() + 3);
+    out = scenario::evaluateRelations(s.relations(), no_partner,
+                                      gridResults(no_partner, 2.0),
+                                      {"", "", ""});
+    EXPECT_EQ(out[0].verdict, Verdict::NotEvaluated);
+    EXPECT_EQ(out[0].reason,
+              "missing point llc_policy=adaptive beside RN/shared");
+}
+
+TEST(Expect, FailedPointIsNotEvaluated)
+{
+    const Scenario s = expectScenario(
+        kGain + "  gain {\n    holds = > 1\n    paper = 1.28\n  }\n");
+    const auto out = evaluate(s, 2.0, {"", "", "", "simulation error"});
+    EXPECT_EQ(out[0].verdict, Verdict::NotEvaluated);
+    EXPECT_EQ(out[0].reason, "failed point RN/adaptive");
+}
+
+TEST(Expect, SmokeRunIsNotEvaluated)
+{
+    const Scenario s = expectScenario(
+        kGain + "  gain {\n    holds = > 1\n    paper = 1.28\n  }\n"
+                "  worse {\n    holds = < gain\n    paper = 1\n  }\n");
+    const auto out = evaluate(s, 0.5, {}, "smoke run");
+    for (const auto &o : out) {
+        EXPECT_EQ(o.verdict, Verdict::NotEvaluated);
+        EXPECT_EQ(o.reason, "smoke run");
+    }
+    EXPECT_EQ(scenario::countFailures(out), 0u);
+    EXPECT_NE(scenario::renderOutcomes(s.relations(), out)
+                  .find("| gain | - | > 1 | 1.28 | not evaluated (smoke "
+                        "run) |"),
+              std::string::npos);
+}
+
+TEST(Expect, OrderingsDifferencesAndQuotients)
+{
+    const Scenario s = expectScenario(
+        "  agg = mean\n"
+        "  ipc_gain {\n    pair = llc_policy: adaptive / shared\n"
+        "    metric = ipc\n    holds = > 1\n    paper = 1\n  }\n"
+        "  miss_drop {\n    pair = llc_policy: adaptive - shared\n"
+        "    metric = llc_read_miss_rate\n    holds = < 0\n"
+        "    paper = -0.1\n  }\n"
+        "  per_cycle {\n    where.llc_policy = adaptive\n"
+        "    metric = instructions/cycles\n    agg = max\n"
+        "    holds = > ipc_gain\n    paper = 3\n  }\n");
+    const auto out = evaluate(s, 1.5);
+    EXPECT_DOUBLE_EQ(out[0].measured, 1.5);
+    EXPECT_DOUBLE_EQ(out[1].measured, -0.25);
+    EXPECT_DOUBLE_EQ(out[2].measured, 3.0);
+    EXPECT_DOUBLE_EQ(out[2].rhs, 1.5);
+    for (const auto &o : out)
+        EXPECT_EQ(o.verdict, Verdict::Pass);
+    // An ordering against a relation that could not be evaluated
+    // cannot be evaluated either.
+    const auto all = scenario::emitPoints(s.expand());
+    const std::vector<EmitPoint> adaptive = {all[1], all[3]};
+    const auto partial = scenario::evaluateRelations(
+        s.relations(), adaptive, gridResults(adaptive, 1.5), {"", ""});
+    EXPECT_EQ(partial[2].verdict, Verdict::NotEvaluated);
+    EXPECT_EQ(partial[2].reason,
+              "ipc_gain: missing point llc_policy=shared beside "
+              "AN/adaptive");
+}
+
+TEST(Expect, UnknownNamesAreFatalWithTheNearestSpelling)
+{
+    const std::string tail = "    holds = > 1\n    paper = 1\n  }\n";
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario("  r {\n    metric = ipcc\n    agg = hmean\n" +
+                       tail),
+        ConfigError, "unknown column 'ipcc'; nearest is 'ipc'");
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario(kGain + "  r {\n    where.worklod = AN\n" + tail),
+        ConfigError, "unknown axis 'worklod'; nearest is 'workload'");
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario("  metric = ipc\n  agg = hmean\n  r {\n"
+                       "    pair = llc_polcy: adaptive / shared\n" +
+                       tail),
+        ConfigError, "unknown axis 'llc_polcy'; nearest is 'llc_policy'");
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario(kGain + "  r {\n    metrc = ipc\n" + tail),
+        ConfigError, "nearest is 'expect.r.metric'");
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario("  agr = hmean\n"), ConfigError,
+        "nearest is 'expect.agg'");
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario(kGain + "  gain {\n" + tail +
+                       "  r {\n    holds = > gian\n    paper = 1\n  }\n"),
+        ConfigError, "unknown relation 'gian'; nearest is 'gain'");
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario(kGain + "  r {\n    paper = 1\n  }\n"),
+        ConfigError, "needs metric, agg, holds and paper");
+    AMSC_EXPECT_THROW_MSG(
+        expectScenario(kGain + "  r {\n    holds = 1\n    paper = 1\n"
+                       "  }\n"),
+        ConfigError, "holds");
+}
+
+TEST(Expect, ShippedRelationsSelectPointsOfTheirGrid)
+{
+    // Every relation of a shipped scenario finds all its points in
+    // the scenario's own grid, so a full run evaluates it (a typo in
+    // a `where` value would otherwise leave it "not evaluated").
+    for (const std::string &path : shippedScenarios()) {
+        const Scenario s = Scenario::load(path);
+        if (s.relations().empty())
+            continue;
+        SCOPED_TRACE(path);
+        const auto points = scenario::emitPoints(s.expand());
+        std::vector<RunResult> results(points.size(),
+                                       fabricatedResult(0));
+        const auto out = scenario::evaluateRelations(
+            s.relations(), points, results,
+            std::vector<std::string>(points.size()));
+        for (std::size_t i = 0; i < out.size(); ++i) {
+            EXPECT_NE(out[i].verdict, Verdict::NotEvaluated)
+                << s.relations()[i].name << ": " << out[i].reason;
+        }
+    }
 }

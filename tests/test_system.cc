@@ -462,8 +462,8 @@ TEST(SharingStats, BroadcastShowsInterClusterSharing)
     gpu.run();
     gpu.llc().sharingTracker().flush(cfg.maxCycles);
     // Multi-cluster sharing must dominate relative to the streaming
-    // baseline below (the full-scale Fig 3 shape is validated by
-    // bench/fig03).
+    // baseline below (the full-scale Fig 3 shape is checked by the
+    // expect block of scenarios/fig03_intercluster_locality.scn).
     const double multi =
         gpu.llc().sharingTracker().bucketFraction(1) +
         gpu.llc().sharingTracker().bucketFraction(2) +

@@ -5,6 +5,9 @@
  *   amsc run <scenario.scn> [key=value ...] [--smoke]
  *       Execute a scenario (its whole sweep grid) and print a
  *       summary table, or CSV/JSON with format=csv|json [out=FILE].
+ *       A scenario with an `expect { }` block then prints its
+ *       measured-vs-paper table to stderr and exits 1 if a relation
+ *       is violated (run, sweep and merge alike).
  *
  *   amsc sweep <scenario.scn> [sweep.key=v1,v2 ...] [key=value ...]
  *       Like run, but defaults to CSV output and reports the grid
@@ -67,6 +70,7 @@
 #include "obs/trace_check.hh"
 #include "scenario/diff_fuzz.hh"
 #include "scenario/emit.hh"
+#include "scenario/expect.hh"
 #include "scenario/scenario.hh"
 #include "scenario/schema.hh"
 #include "sim/journal.hh"
@@ -128,16 +132,28 @@ hasFlag(const KvArgs &args, const std::string &flag)
     return false;
 }
 
+/** --smoke or smoke=1: quarter-length runs. */
+bool
+isSmoke(const KvArgs &args)
+{
+    return hasFlag(args, "--smoke") || args.getBool("smoke", false);
+}
+
+/** @return true for a key the CLI consumes, not the scenario. */
+bool
+isCliKey(const std::string &key)
+{
+    return std::count(kCliKeys.begin(), kCliKeys.end(), key) != 0;
+}
+
 /** Load scenario + CLI overrides; scenario keys win load order. */
 Scenario
 loadWithOverrides(const std::string &path, const KvArgs &args)
 {
     KvArgs kv = Scenario::parseScnFile(path);
     for (const std::string &key : args.orderedKeys()) {
-        if (std::find(kCliKeys.begin(), kCliKeys.end(), key) !=
-            kCliKeys.end()) {
+        if (isCliKey(key))
             continue;
-        }
         if (key == "--timeline") {
             // amsc run --timeline=out.json == timeline_out=out.json.
             Scenario::applyOverride(kv, "timeline_out",
@@ -195,6 +211,44 @@ parseShard(const KvArgs &args, std::uint32_t &shard,
     shard_count = n;
 }
 
+/** Write the grid as table/CSV/JSON, then check its expect block. */
+int
+emitAndCheck(const KvArgs &args, const Scenario &scn,
+             const std::vector<ExpandedPoint> &expanded,
+             const std::vector<RunResult> &results,
+             const std::vector<std::string> &errors,
+             const std::string &default_format)
+{
+    const std::string format = args.getString("format", default_format);
+    const auto epts = scenario::emitPoints(expanded);
+    if (format != "table" && format != "csv" && format != "json")
+        fatal("unknown format '%s' (table|csv|json)", format.c_str());
+    scenario::writeOut(
+        format == "table" ? scenario::renderTable(epts, results)
+            : format == "csv"
+            ? scenario::emitCsv(epts, results, errors)
+            : scenario::emitJson(scn.name(), epts, results, errors),
+        args.getString("out", ""));
+    if (scn.relations().empty())
+        return 0;
+
+    // The claims are about the grid as the file states it: a smoke
+    // or overridden run checks nothing.
+    const auto &keys = args.orderedKeys();
+    const auto over = std::find_if_not(keys.begin(), keys.end(), isCliKey);
+    const std::string skip = isSmoke(args) ? "smoke run"
+        : over == keys.end()               ? ""
+                                           : "command-line override " + *over;
+    const auto outcomes = scenario::evaluateRelations(
+        scn.relations(), epts, results, errors, skip);
+    const std::size_t failed = scenario::countFailures(outcomes);
+    std::fprintf(stderr, "amsc: expect, %s:\n%s%s", scn.name().c_str(),
+                 scenario::renderOutcomes(scn.relations(), outcomes)
+                     .c_str(),
+                 failed ? "amsc: expect block failed\n" : "");
+    return failed ? 1 : 0;
+}
+
 int
 cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
 {
@@ -202,8 +256,7 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
         return usage();
     const std::string path = args.positionals()[1];
     Scenario scn = loadWithOverrides(path, args);
-    const bool smoke =
-        hasFlag(args, "--smoke") || args.getBool("smoke", false);
+    const bool smoke = isSmoke(args);
     scn.setSmoke(smoke);
 
     const std::vector<ExpandedPoint> expanded = scn.expand();
@@ -347,22 +400,8 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
         return 0;
     }
 
-    const std::string format =
-        args.getString("format", is_sweep ? "csv" : "table");
-    const std::string out = args.getString("out", "");
-    const auto epts = scenario::emitPoints(expanded);
-    if (format == "table")
-        scenario::writeOut(scenario::renderTable(epts, results), out);
-    else if (format == "csv")
-        scenario::writeOut(
-            scenario::emitCsv(epts, results, errors), out);
-    else if (format == "json")
-        scenario::writeOut(
-            scenario::emitJson(scn.name(), epts, results, errors),
-            out);
-    else
-        fatal("unknown format '%s' (table|csv|json)", format.c_str());
-    return 0;
+    return emitAndCheck(args, scn, expanded, results, errors,
+                        is_sweep ? "csv" : "table");
 }
 
 /** amsc merge: fold shard journals into the single-process output. */
@@ -377,8 +416,7 @@ cmdMerge(const KvArgs &args)
         fatal("amsc merge requires --journal=DIR");
 
     Scenario scn = loadWithOverrides(path, args);
-    scn.setSmoke(hasFlag(args, "--smoke") ||
-                 args.getBool("smoke", false));
+    scn.setSmoke(isSmoke(args));
     const std::vector<ExpandedPoint> expanded = scn.expand();
     std::vector<SweepPoint> points;
     points.reserve(expanded.size());
@@ -441,21 +479,7 @@ cmdMerge(const KvArgs &args)
               missing, points.size(), path.c_str(),
               journal_dir.c_str());
 
-    const std::string format = args.getString("format", "csv");
-    const std::string out = args.getString("out", "");
-    const auto epts = scenario::emitPoints(expanded);
-    if (format == "table")
-        scenario::writeOut(scenario::renderTable(epts, results), out);
-    else if (format == "csv")
-        scenario::writeOut(
-            scenario::emitCsv(epts, results, errors), out);
-    else if (format == "json")
-        scenario::writeOut(
-            scenario::emitJson(scn.name(), epts, results, errors),
-            out);
-    else
-        fatal("unknown format '%s' (table|csv|json)", format.c_str());
-    return 0;
+    return emitAndCheck(args, scn, expanded, results, errors, "csv");
 }
 
 int
