@@ -1,8 +1,9 @@
 /**
  * @file
- * Shared helpers of the bench programs: Fig 15 (its STP divides by a
- * second grid, which a scenario's expect block cannot state), the
- * tables, the ablations and the bench harness.
+ * Shared helpers of the bench programs that a scenario cannot state:
+ * Fig 15 (its STP divides by a second grid), the Table 1/2 printers,
+ * the line-size and profiler ablations and the bench harness. Every
+ * other experiment is a `.scn` scenario run by `amsc`.
  *
  * Every bench accepts SimConfig key=value overrides plus:
  *   max_cycles=N   simulated cycles per run (default 60000)

@@ -14,71 +14,76 @@
  *   verify  record, then replay, and assert bit-identical RunResult
  *           trace_tool verify trace=an.trc workload=AN [key=value...]
  *
- * A replayed run reproduces the recorded run's metrics exactly
- * provided the SimConfig matches the recording; `verify` automates
- * that check in one process and exits non-zero on any drift.
+ * Every run is one SweepRunner::runPoint() with the trace_record or
+ * trace_replay key set, exactly as `amsc run ... trace_record=f.trc`
+ * runs it. A replayed run reproduces the recorded run's metrics
+ * exactly provided the SimConfig matches the recording; `verify`
+ * automates that check in one process and exits non-zero on any
+ * drift.
  */
 
 #include <cstdio>
-#include <functional>
 #include <string>
-#include <vector>
 
+#include "common/error.hh"
 #include "common/kvargs.hh"
-#include "sim/gpu_system.hh"
-#include "trace/recording_gen.hh"
-#include "trace/replay_gen.hh"
+#include "sim/sweep.hh"
 #include "trace/trace_reader.hh"
-#include "trace/trace_writer.hh"
 #include "workloads/suite.hh"
-
-#include "example_util.hh"
 
 using namespace amsc;
 
 namespace
 {
 
-SimConfig
-configFromArgs(const KvArgs &args)
-{
-    SimConfig cfg;
-    cfg.maxCycles = 60000;
-    cfg.profileLen = 5000;
-    cfg.epochLen = 200000;
-    cfg.applyKv(args);
-    return cfg;
-}
-
-/** Produces the (recording-wrapped) kernels once the writer exists. */
-using KernelBuilder = std::function<std::vector<KernelInfo>(
-    const std::shared_ptr<TraceWriter> &)>;
-
 /**
- * Kernel builder for the command line: Table-2 workloads go through
- * the suite's recording entry point, inline synthetic ones through
- * the generic wrapper.
+ * The app the command line describes: a Table-2 benchmark
+ * (`workload=AN`) or an inline synthetic pattern (`pattern=zipf
+ * shared_mb=4 ...`).
  */
-KernelBuilder
-recordedWorkloadFromArgs(const KvArgs &args, const SimConfig &cfg)
+WorkloadSpec
+workloadFromArgs(const KvArgs &args)
 {
     if (args.has("workload")) {
         const WorkloadSpec &spec =
             WorkloadSuite::byName(args.getString("workload", "AN"));
-        std::printf("workload: %s (%s), class %s\n",
+        std::printf("workload: %s (%s), %.3f MB shared, class %s\n",
                     spec.abbr.c_str(), spec.fullName.c_str(),
+                    spec.sharedMb,
                     workloadClassName(spec.klass).c_str());
-        const std::uint64_t seed = cfg.seed;
-        return [&spec,
-                seed](const std::shared_ptr<TraceWriter> &writer) {
-            return WorkloadSuite::buildRecordedKernels(spec, seed,
-                                                       writer);
-        };
+        return spec;
     }
-    return [&args, &cfg](const std::shared_ptr<TraceWriter> &writer) {
-        return wrapKernelsForRecording(workloadFromArgs(args, cfg),
-                                       writer);
-    };
+    WorkloadSpec spec;
+    TraceParams &t = spec.trace;
+    const std::string pattern =
+        args.getString("pattern", "broadcast");
+    if (pattern == "broadcast")
+        t.pattern = AccessPattern::Broadcast;
+    else if (pattern == "zipf")
+        t.pattern = AccessPattern::ZipfShared;
+    else if (pattern == "tiled")
+        t.pattern = AccessPattern::TiledShared;
+    else if (pattern == "stream")
+        t.pattern = AccessPattern::PrivateStream;
+    else
+        fatal("unknown pattern '%s'", pattern.c_str());
+    t.sharedLines = static_cast<std::uint64_t>(
+        args.getDouble("shared_mb", 1.0) * 8192.0);
+    t.sharedFraction = args.getDouble("shared_fraction", 0.8);
+    t.zipfAlpha = args.getDouble("zipf_alpha", 0.6);
+    t.writeFraction = args.getDouble("write_fraction", 0.05);
+    t.atomicFraction = args.getDouble("atomic_fraction", 0.0);
+    t.computePerMem = static_cast<std::uint32_t>(
+        args.getUint("compute_per_mem", 4));
+    t.memInstrsPerWarp = args.getUint("mem_instrs", 600);
+    spec.abbr = "cli";
+    spec.sharedMb = static_cast<double>(t.sharedLines) / 8192.0;
+    spec.numCtas = static_cast<std::uint32_t>(args.getUint("ctas", 320));
+    spec.warpsPerCta =
+        static_cast<std::uint32_t>(args.getUint("warps", 8));
+    std::printf("workload: synthetic %s (%.2f MB shared)\n",
+                pattern.c_str(), spec.sharedMb);
+    return spec;
 }
 
 std::string
@@ -88,6 +93,36 @@ tracePath(const KvArgs &args)
     if (path.empty())
         fatal("missing trace=<file> argument");
     return path;
+}
+
+/** The configured point, without apps (replay needs none). */
+SweepPoint
+pointFromArgs(const KvArgs &args)
+{
+    SweepPoint p;
+    p.cfg.maxCycles = 60000;
+    p.cfg.profileLen = 5000;
+    p.cfg.epochLen = 200000;
+    p.cfg.applyKv(args);
+    p.label = "trace_tool";
+    return p;
+}
+
+RunResult
+recordRun(SweepPoint p, const KvArgs &args, const std::string &path)
+{
+    p.apps = {workloadFromArgs(args)};
+    p.cfg.traceRecordPath = path;
+    p.cfg.traceReplayPath.clear();
+    return SweepRunner::runPoint(p);
+}
+
+RunResult
+replayRun(SweepPoint p, const std::string &path)
+{
+    p.cfg.traceRecordPath.clear();
+    p.cfg.traceReplayPath = path;
+    return SweepRunner::runPoint(p);
 }
 
 void
@@ -103,54 +138,11 @@ printRun(const char *tag, const RunResult &r)
                 r.finishedWork ? "" : " (horizon reached)");
 }
 
-RunResult
-recordRun(const SimConfig &cfg, const KernelBuilder &build,
-          const std::string &path)
-{
-    auto writer = std::make_shared<TraceWriter>(path);
-    RunResult r;
-    {
-        GpuSystem gpu(cfg);
-        gpu.setWorkload(0, build(writer));
-        r = gpu.run();
-        // Leaving the scope destroys the GpuSystem, flushing every
-        // live RecordingGen into the writer.
-    }
-    writer->setRunSummary(summarizeRun(r));
-    writer->finalize();
-    if (!r.finishedWork)
-        warn("recorded run hit its cycle horizon; warps mid-stream "
-             "were truncated and a replay will finish early");
-    return r;
-}
-
-RunResult
-replayRun(const SimConfig &cfg,
-          const std::shared_ptr<const TraceReader> &reader)
-{
-    GpuSystem gpu(cfg);
-    gpu.setWorkload(0, WorkloadSuite::buildReplayKernels(reader));
-    return gpu.run();
-}
-
-bool
-sameResult(const RunResult &a, const RunResult &b)
-{
-    return a.cycles == b.cycles &&
-        a.instructions == b.instructions && a.ipc == b.ipc &&
-        a.llcAccesses == b.llcAccesses &&
-        a.dramAccesses == b.dramAccesses &&
-        a.llcReadMissRate == b.llcReadMissRate;
-}
-
 int
 cmdRecord(const KvArgs &args)
 {
     const std::string path = tracePath(args);
-    const SimConfig cfg = configFromArgs(args);
-    const RunResult r =
-        recordRun(cfg, recordedWorkloadFromArgs(args, cfg), path);
-    printRun("recorded", r);
+    printRun("recorded", recordRun(pointFromArgs(args), args, path));
     std::printf("trace written to %s\n", path.c_str());
     return 0;
 }
@@ -190,12 +182,10 @@ int
 cmdReplay(const KvArgs &args)
 {
     const std::string path = tracePath(args);
-    const SimConfig cfg = configFromArgs(args);
-    auto reader = std::make_shared<const TraceReader>(path);
-    const RunResult r = replayRun(cfg, reader);
+    const RunResult r = replayRun(pointFromArgs(args), path);
     printRun("replayed", r);
 
-    const TraceRunSummary &s = reader->summary();
+    const TraceRunSummary s = TraceReader(path).summary();
     if (s.valid) {
         const bool same = r.cycles == s.cycles &&
             r.instructions == s.instructions &&
@@ -211,14 +201,12 @@ int
 cmdVerify(const KvArgs &args)
 {
     const std::string path = tracePath(args);
-    const SimConfig cfg = configFromArgs(args);
-    const RunResult rec =
-        recordRun(cfg, recordedWorkloadFromArgs(args, cfg), path);
-    const RunResult rep = replayRun(
-        cfg, std::make_shared<const TraceReader>(path));
+    const SweepPoint point = pointFromArgs(args);
+    const RunResult rec = recordRun(point, args, path);
+    const RunResult rep = replayRun(point, path);
     printRun("recorded", rec);
     printRun("replayed", rep);
-    if (sameResult(rec, rep)) {
+    if (identicalResults(rec, rep)) {
         std::printf("verify: PASS (replay reproduces the recorded "
                     "run bit-for-bit)\n");
         return 0;
@@ -248,17 +236,22 @@ main(int argc, char **argv)
     const std::string &cmd = args.positionals().front();
 
     int rc = 0;
-    if (cmd == "record")
-        rc = cmdRecord(args);
-    else if (cmd == "info")
-        rc = cmdInfo(args);
-    else if (cmd == "replay")
-        rc = cmdReplay(args);
-    else if (cmd == "verify")
-        rc = cmdVerify(args);
-    else
-        fatal("unknown subcommand '%s' (record|info|replay|verify)",
-              cmd.c_str());
+    try {
+        if (cmd == "record")
+            rc = cmdRecord(args);
+        else if (cmd == "info")
+            rc = cmdInfo(args);
+        else if (cmd == "replay")
+            rc = cmdReplay(args);
+        else if (cmd == "verify")
+            rc = cmdVerify(args);
+        else
+            fatal("unknown subcommand '%s' (record|info|replay|verify)",
+                  cmd.c_str());
+    } catch (const SimError &e) {
+        std::fprintf(stderr, "trace_tool: error: %s\n", e.what());
+        return 1;
+    }
     args.warnUnused();
     return rc;
 }

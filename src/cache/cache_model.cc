@@ -27,77 +27,40 @@ CacheModel::CacheModel(const CacheParams &params)
 {
 }
 
-LookupResult
+bool
 CacheModel::lookup(Addr line_addr, bool is_write,
                    std::uint32_t accessor, Cycle now)
 {
-    LookupResult res;
     CacheLine *line = tags_.access(line_addr, now, accessor);
-    if (line != nullptr) {
-        res.hit = true;
-        line->accessorMask |= accessor < 32
-            ? (std::uint32_t{1} << accessor)
-            : 0;
-        line->lastAccessor = accessor;
-        if (is_write) {
-            ++stats_.writeHits;
-            if (params_.writePolicy == WritePolicy::WriteBack) {
-                line->dirty = true;
-            } else {
-                res.forwardWrite = true;
-                ++stats_.writeThroughForwards;
-            }
-        } else {
-            ++stats_.readHits;
-        }
-        return res;
-    }
-
-    // Miss.
-    if (is_write) {
-        ++stats_.writeMisses;
-        // Write misses always propagate the data downstream; under
-        // Allocate the line is additionally installed by fill().
-        res.forwardWrite = true;
+    if (is_write)
         ++stats_.writeThroughForwards;
-        if (params_.writeAlloc == WriteAllocPolicy::Allocate)
-            res.fillAddr = line_addr;
-    } else {
-        ++stats_.readMisses;
-        res.fillAddr = line_addr;
+    if (line == nullptr) {
+        ++(is_write ? stats_.writeMisses : stats_.readMisses);
+        return false;
     }
-    return res;
+    line->accessorMask |= accessor < 32 ? (std::uint32_t{1} << accessor)
+                                        : 0;
+    line->lastAccessor = accessor;
+    ++(is_write ? stats_.writeHits : stats_.readHits);
+    return true;
 }
 
-FillResult
-CacheModel::fill(Addr line_addr, bool was_write,
-                 std::uint32_t accessor, Cycle now)
+void
+CacheModel::fill(Addr line_addr, std::uint32_t accessor, Cycle now)
 {
-    FillResult out;
     // A concurrent fill (merged miss) may have installed the line.
     if (tags_.probe(line_addr) != nullptr)
-        return out;
+        return;
 
     Eviction ev;
     CacheLine *line = tags_.insert(line_addr, now, ev, accessor);
     ++stats_.fills;
-    if (ev.valid) {
+    if (ev.valid)
         ++stats_.evictions;
-        if (ev.dirty) {
-            ++stats_.dirtyEvictions;
-            out.writeback = true;
-            out.writebackAddr = ev.lineAddr;
-        }
-    }
     line->accessorMask = accessor < 32
         ? (std::uint32_t{1} << accessor)
         : 0;
     line->lastAccessor = accessor;
-    if (was_write && params_.writePolicy == WritePolicy::WriteBack &&
-        params_.writeAlloc == WriteAllocPolicy::Allocate) {
-        line->dirty = true;
-    }
-    return out;
 }
 
 bool
@@ -111,12 +74,6 @@ CacheModel::invalidateAll()
 {
     stats_.invalidations += tags_.numValidLines();
     tags_.invalidateAll();
-}
-
-std::vector<Addr>
-CacheModel::collectDirtyLines()
-{
-    return tags_.collectDirtyLines();
 }
 
 void

@@ -1,18 +1,18 @@
 /**
  * @file
- * Functional cache model: tag array + write policies + statistics.
+ * Functional cache model of the SM's L1: tag array + statistics.
  *
- * CacheModel is the zero-latency core shared by the timed L1 and LLC
- * slice models. The timed wrappers drive it with the miss-fill split
+ * The L1 is write-through and no-write-allocate (Table 1), and its
+ * timed wrapper (gpu/sm.hh) drives it with the miss-fill split
  * typical of detailed simulators:
  *
  *   lookup() classifies an access without installing anything;
- *   fill()   installs the line when the next-level reply arrives and
- *            reports a dirty victim that must be written back.
+ *   fill()   installs a read-missed line when the LLC reply arrives.
  *
- * Writes honor the configured WritePolicy / WriteAllocPolicy: a
- * write-through cache never creates dirty lines, and a no-allocate
- * cache forwards write misses without installing them.
+ * Every store is forwarded to the LLC, and a store miss installs
+ * nothing, so L1 lines are never dirty. The LLC slices do not use this
+ * class: they drive a TagArray and an MshrFile directly
+ * (llc/llc_slice.hh).
  */
 
 #ifndef AMSC_CACHE_CACHE_MODEL_HH
@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "cache/cache_types.hh"
 #include "cache/tag_array.hh"
@@ -30,41 +29,18 @@
 namespace amsc
 {
 
-/** Geometry and policy parameters of a cache. */
+/** Geometry and replacement parameters of a cache. */
 struct CacheParams
 {
     std::string name = "cache";
     std::uint64_t sizeBytes = 48 * 1024;
     std::uint32_t assoc = 6;
     std::uint32_t lineBytes = 128;
-    WritePolicy writePolicy = WritePolicy::WriteThrough;
-    WriteAllocPolicy writeAlloc = WriteAllocPolicy::NoAllocate;
     ReplPolicy repl = ReplPolicy::Lru;
     std::uint64_t seed = 1;
 
     /** @return number of sets implied by size/assoc/line. */
     std::uint32_t numSets() const;
-};
-
-/** Classification of a single lookup. */
-struct LookupResult
-{
-    bool hit = false;
-    /**
-     * For write-through caches, true when the write must also be
-     * forwarded to the next level (always true on hit or miss).
-     */
-    bool forwardWrite = false;
-    /** Line to install on fill (miss path), kNoAddr on hit. */
-    Addr fillAddr = kNoAddr;
-};
-
-/** Result of installing a fill. */
-struct FillResult
-{
-    /** True if a dirty victim must be written back. */
-    bool writeback = false;
-    Addr writebackAddr = kNoAddr;
 };
 
 /** Aggregate cache statistics. */
@@ -76,8 +52,9 @@ struct CacheStats
     std::uint64_t writeMisses = 0;
     std::uint64_t fills = 0;
     std::uint64_t evictions = 0;
+    /** Always 0 (no dirty lines); kept for the checkpoint layout. */
     std::uint64_t dirtyEvictions = 0;
-    std::uint64_t writeThroughForwards = 0;
+    std::uint64_t writeThroughForwards = 0; ///< every store
     std::uint64_t invalidations = 0;
 
     std::uint64_t accesses() const
@@ -96,67 +73,38 @@ struct CacheStats
     }
 };
 
-/** Functional set-associative cache with write policies and stats. */
+/** Functional set-associative write-through, no-allocate cache. */
 class CacheModel
 {
   public:
     explicit CacheModel(const CacheParams &params);
 
-    /** Strip block-offset bits from a byte address. */
-    Addr
-    lineAddrOf(Addr byte_addr) const
-    {
-        return byte_addr / params_.lineBytes;
-    }
-
     /**
-     * Classify an access to line address @p line_addr.
+     * Classify an access to line address @p line_addr; @return hit.
      *
-     * Hit paths update replacement/dirty/accessor state immediately.
-     * Miss paths leave the array unchanged; the caller later calls
-     * fill() (unless the access needs no allocation).
+     * A hit updates replacement and accessor state. A miss leaves the
+     * array unchanged: a read miss is installed by fill() later, a
+     * write miss never.
      *
      * @param line_addr line-granular address.
-     * @param is_write  write access.
+     * @param is_write  write access (always forwarded downstream).
      * @param accessor  cluster/router id recorded on the line.
      * @param now       current cycle.
      */
-    LookupResult lookup(Addr line_addr, bool is_write,
-                        std::uint32_t accessor, Cycle now);
+    bool lookup(Addr line_addr, bool is_write, std::uint32_t accessor,
+                Cycle now);
 
-    /**
-     * Install @p line_addr after the next level supplied the data.
-     *
-     * @param was_write if the triggering access was an allocating
-     *                  write, the installed line starts dirty under
-     *                  write-back.
-     */
-    FillResult fill(Addr line_addr, bool was_write,
-                    std::uint32_t accessor, Cycle now);
-
-    /** True if an access to @p line_addr would need a fill() later. */
-    bool
-    needsFill(bool is_write) const
-    {
-        return !is_write ||
-            params_.writeAlloc == WriteAllocPolicy::Allocate;
-    }
+    /** Install read-missed @p line_addr once the next level replied. */
+    void fill(Addr line_addr, std::uint32_t accessor, Cycle now);
 
     /** Probe without side effects. */
     bool contains(Addr line_addr) const;
 
-    /** Invalidate everything; dirty contents are dropped. */
+    /** Invalidate everything. */
     void invalidateAll();
-
-    /**
-     * Collect and clean all dirty lines (shared -> private transition
-     * write-back pass). Lines stay valid.
-     */
-    std::vector<Addr> collectDirtyLines();
 
     const CacheParams &params() const { return params_; }
     const CacheStats &stats() const { return stats_; }
-    void clearStats() { stats_ = CacheStats{}; }
 
     TagArray &tags() { return tags_; }
     const TagArray &tags() const { return tags_; }

@@ -14,20 +14,6 @@
 namespace amsc
 {
 
-/** Write hit handling. */
-enum class WritePolicy
-{
-    WriteBack,    ///< dirty lines written back on eviction/flush
-    WriteThrough, ///< every write forwarded to the next level
-};
-
-/** Write miss handling. */
-enum class WriteAllocPolicy
-{
-    Allocate,   ///< fetch line and install on write miss
-    NoAllocate, ///< forward write without installing the line
-};
-
 /**
  * Replacement policy selector.
  *

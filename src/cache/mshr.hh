@@ -135,9 +135,6 @@ class MshrFile
         return n;
     }
 
-    std::uint32_t numEntries() const { return numEntries_; }
-    std::uint32_t targetsPerEntry() const { return targetsPerEntry_; }
-
     /**
      * Serialize entries sorted by line address (deterministic bytes;
      * no simulator behavior depends on the hash-map's bucket order).

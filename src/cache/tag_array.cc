@@ -9,7 +9,6 @@ TagArray::TagArray(std::uint32_t num_sets, std::uint32_t assoc,
                    ReplPolicy repl, std::uint64_t seed,
                    BypassPolicy bypass, std::uint32_t duel_sets)
     : numSets_(num_sets), assoc_(assoc), replKind_(repl),
-      bypassKind_(bypass),
       repl_(ReplacementPolicy::create(repl, seed, duel_sets)),
       bypass_(BypassPredictor::create(bypass))
 {

@@ -135,7 +135,6 @@ class TagArray
     std::uint32_t numSets() const { return numSets_; }
     std::uint32_t assoc() const { return assoc_; }
     ReplPolicy replKind() const { return replKind_; }
-    BypassPolicy bypassKind() const { return bypassKind_; }
     /** The bound replacement policy (tests, introspection). */
     const ReplacementPolicy &replacement() const { return *repl_; }
     /** The bound bypass predictor; nullptr without one. */
@@ -167,7 +166,6 @@ class TagArray
     std::uint32_t numSets_;
     std::uint32_t assoc_;
     ReplPolicy replKind_;
-    BypassPolicy bypassKind_;
     std::vector<CacheLine> lines_;
     std::unique_ptr<ReplacementPolicy> repl_;
     std::unique_ptr<BypassPredictor> bypass_;

@@ -184,7 +184,6 @@ class ZipfSampler
         return base + rng.below(width == 0 ? 1 : width);
     }
 
-    std::uint64_t populationSize() const { return n_; }
     double alpha() const { return alpha_; }
 
   private:

@@ -234,9 +234,7 @@ Sm::issueFrom(std::uint32_t slot, Cycle now)
     }
     memPortBusyThisCycle_ = true;
     ++stats_.loads;
-    const LookupResult res =
-        l1_.lookup(line, false, params_.cluster, now);
-    if (res.hit) {
+    if (l1_.lookup(line, false, params_.cluster, now)) {
         ++w.outstanding;
         hitQueue_.push(slot, now, params_.l1Latency);
     } else {
@@ -343,7 +341,7 @@ Sm::onReply(const NocMessage &msg, Cycle now)
         completeAccess(slot, now);
         return;
     }
-    l1_.fill(line, false, params_.cluster, now);
+    l1_.fill(line, params_.cluster, now);
     const std::vector<std::uint32_t> targets = mshrs_.complete(line);
     for (const std::uint32_t slot : targets)
         completeAccess(slot, now);

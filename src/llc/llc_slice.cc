@@ -62,10 +62,9 @@ LlcSlice::process(const NocMessage &msg, Cycle now)
             if (is_atomic) {
                 // Read-modify-write at the ROP: the line is updated
                 // in place (dirty under write-back, forwarded under
-                // write-through). Known modeling gap, kept for
-                // bit-exactness with the seed: a write-through RMW
-                // whose forward finds the miss queue full is dropped
-                // from the DRAM traffic rather than retried.
+                // write-through). A forward that found the miss queue
+                // full would be dropped rather than retried, but the
+                // queue is unbounded (missQueue_), so it never is.
                 if (writeThrough_(appOf_(msg.src))) {
                     if (!missQueue_.full())
                         missQueue_.push({line, true}, now,
@@ -100,11 +99,10 @@ LlcSlice::process(const NocMessage &msg, Cycle now)
     if (msg.kind == MsgKind::WriteReq) {
         // No-write-allocate; policy depends on the owning app's mode.
         // Backpressure is checked before the policy-training access
-        // so one logical write trains the set-dueling/bypass state
-        // exactly once, on the attempt that completes; stalled
-        // attempts keep the historical recency-refresh-per-attempt
-        // (touchForRetry), which preserves bit-exactness for the
-        // timestamp policies.
+        // so one logical write would train the set-dueling/bypass
+        // state exactly once, on the attempt that completes, with a
+        // recency refresh per stalled attempt (touchForRetry). With
+        // the unbounded miss queue (missQueue_) no write stalls.
         const bool wt = writeThrough_(appOf_(msg.src));
         const bool forward = wt || tags_.probe(line) == nullptr;
         if (forward && missQueue_.full()) {
@@ -134,7 +132,8 @@ bool
 LlcSlice::readBlocked(Addr line, bool merged) const
 {
     // A miss needs MSHR space (entry or merge target); a primary
-    // miss additionally needs miss-queue space.
+    // miss additionally needs miss-queue space, which the unbounded
+    // miss queue (missQueue_) always has.
     if (tags_.probe(line) != nullptr)
         return false;
     return !mshrs_.canAllocate(line) || (!merged && missQueue_.full());
@@ -159,7 +158,8 @@ LlcSlice::tick(Cycle now)
                 ++stats_.dramWrites;
             else
                 ++stats_.dramReads;
-            // Only a pop from a full miss queue can unblock a read.
+            // Only a pop from a full miss queue could unblock a read
+            // (never, while the queue is unbounded).
             retryArmed_ = retryArmed_ || missQueue_.full();
             missQueue_.pop(now);
         }

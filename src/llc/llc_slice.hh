@@ -206,8 +206,9 @@ class LlcSlice
     /**
      * True while a read or atomic to @p line cannot be processed: a
      * tag miss that finds no MSHR space or, as a primary miss
-     * (@p merged false), no miss-queue space. Only a miss-queue pop,
-     * a DRAM reply, an invalidation or a restore can change it.
+     * (@p merged false), no miss-queue space (unreachable while the
+     * miss queue is unbounded). Only a miss-queue pop, a DRAM reply,
+     * an invalidation or a restore can change it.
      */
     bool readBlocked(Addr line, bool merged) const;
 
@@ -241,11 +242,18 @@ class LlcSlice
      * A stalled read or atomic is retried only while this is set. A
      * failed read retry changes nothing, so the flag drops when one
      * fails and is raised by what can unblock it (readBlocked()).
-     * Stalled writes retry every cycle: each attempt refreshes the
-     * line's recency. Not checkpointed; restore raises it.
+     * Stalled writes would retry every cycle, each attempt refreshing
+     * the line's recency; only a full miss queue stalls a write, so
+     * none does today. Not checkpointed; restore raises it.
      */
     bool retryArmed_ = false;
-    /** Misses waiting out the miss latency before the DRAM queue. */
+    /**
+     * Misses waiting out the miss latency before the DRAM queue.
+     * Built with the default capacity 0, i.e. unbounded: full() never
+     * holds, so the miss-queue-full paths (stalled writes, the
+     * dropped write-through RMW forward, readBlocked()'s queue term)
+     * are unreachable until the queue gets a bound.
+     */
     DelayQueue<std::pair<Addr, bool>> missQueue_;
     /** Replies waiting out the hit/fill latency before injection. */
     DelayQueue<NocMessage> replyQueue_;

@@ -575,16 +575,6 @@ LlcSystem::aggregateReadMissRate() const
         : static_cast<double>(misses) / static_cast<double>(reads);
 }
 
-std::vector<std::uint64_t>
-LlcSystem::sliceAccessCounts() const
-{
-    std::vector<std::uint64_t> out;
-    out.reserve(slices_.size());
-    for (const auto &s : slices_)
-        out.push_back(s->stats().accesses());
-    return out;
-}
-
 void
 LlcSystem::registerStats(StatSet &set) const
 {

@@ -201,21 +201,6 @@ class LlcSystem
     bool drained() const;
 
     /**
-     * Cycle at which the controller FSM next changes state on time
-     * alone (the power-gate/ungate countdowns); kNoCycle in every
-     * state that advances on external progress instead. Feeds the
-     * quiescence fast-forward in GpuSystem::run().
-     */
-    Cycle
-    nextTimedEventCycle() const
-    {
-        return (state_ == CtrlState::GateWait ||
-                state_ == CtrlState::UngateWait)
-            ? stateDeadline_
-            : kNoCycle;
-    }
-
-    /**
      * Earliest cycle >= @p now whose tick() is not a no-op beyond
      * the per-cycle mode counters advanceIdleCycles() compensates:
      * the minimum over every active slice's next event (an inactive
@@ -256,8 +241,6 @@ class LlcSystem
     std::uint64_t totalAccesses() const;
     std::uint64_t totalResponses() const;
     double aggregateReadMissRate() const;
-    /** Per-slice read+write access counts (LSP measurements). */
-    std::vector<std::uint64_t> sliceAccessCounts() const;
 
     LlcSlice &slice(SliceId s) { return *slices_[s]; }
     const LlcSlice &slice(SliceId s) const { return *slices_[s]; }

@@ -58,9 +58,6 @@ class DramBank
         return rowOpen_ && openRow_ == row;
     }
 
-    /** @return true if any row is open. */
-    bool rowOpen() const { return rowOpen_; }
-
     /** @return true once prior service completed by cycle @p now. */
     bool idleAt(Cycle now) const { return busyUntil_ <= now; }
 
@@ -146,9 +143,6 @@ class DramBank
         if (until > busyUntil_)
             busyUntil_ = until;
     }
-
-    /** Most recent activate cycle (for cross-bank tRRD checks). */
-    Cycle lastActivateAt() const { return lastActivate_; }
 
     /** Serialize the bank state machine (timings are structural). */
     void

@@ -182,7 +182,6 @@ class MemoryController
     }
 
     const McStats &stats() const { return stats_; }
-    void clearStats() { stats_ = McStats{}; }
     McId id() const { return id_; }
     const DramParams &params() const { return params_; }
     MemSched sched() const { return schedKind_; }

@@ -106,9 +106,6 @@ class FlitChannel
     void bindSenderPort(ActiveBit port) { senderPort_ = port; }
     void bindReceiverPort(ActiveBit port) { receiverPort_ = port; }
 
-    /** Credits currently available to the sender. */
-    std::uint32_t senderCredits() const { return senderCredits_; }
-
     /**
      * Cycle the oldest in-flight flit completes the wire traversal;
      * kNoCycle when none is in flight. Exact: `DelayQueue`'s monotone

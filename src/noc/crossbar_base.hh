@@ -74,8 +74,6 @@ class CrossbarBase : public Network
     void saveCkpt(CkptWriter &w) const override;
     void loadCkpt(CkptReader &r) override;
 
-    const NocParams &nocParams() const { return params_; }
-
   protected:
     /** Route table mapping every destination below @p n to fn(dst). */
     template <class F>

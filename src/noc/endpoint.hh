@@ -189,8 +189,6 @@ class InjectionAdapter final : public NocSource
 
     bool drained() const override { return queue_.empty(); }
 
-    std::size_t queueSize() const { return queue_.size(); }
-
     /** Serialize queued messages and the partial-packet cursor. */
     void
     saveCkpt(CkptWriter &w) const override

@@ -70,16 +70,6 @@ struct NocParams
     {
         return sm / smsPerCluster();
     }
-
-    /** Memory controller owning global slice @p slice. */
-    McId mcOf(SliceId slice) const { return slice / slicesPerMc; }
-
-    /** Slice-within-MC index of global slice @p slice. */
-    std::uint32_t
-    sliceLocal(SliceId slice) const
-    {
-        return slice % slicesPerMc;
-    }
 };
 
 } // namespace amsc

@@ -42,7 +42,6 @@ struct JsonValue
     /** Object members, insertion order preserved. */
     std::vector<std::pair<std::string, JsonValue>> members;
 
-    bool isNull() const { return kind == Kind::Null; }
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
     bool isNumber() const { return kind == Kind::Number; }

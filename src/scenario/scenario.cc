@@ -8,7 +8,6 @@
 #include "common/strutil.hh"
 #include "scenario/expect.hh"
 #include "scenario/schema.hh"
-#include "trace/trace_reader.hh"
 #include "workloads/llm_inference.hh"
 #include "workloads/suite.hh"
 
@@ -413,10 +412,8 @@ Scenario::buildPoint(
                       origin_.c_str()));
             const std::string path = a.replay;
             p.setup = [path](GpuSystem &gpu) {
-                const auto reader =
-                    std::make_shared<const TraceReader>(path);
                 gpu.setWorkload(
-                    0, WorkloadSuite::buildReplayKernels(reader));
+                    0, WorkloadSuite::buildReplayKernels(path));
             };
             break;
         }

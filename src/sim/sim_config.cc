@@ -88,8 +88,6 @@ SimConfig::buildSmParams(SmId id) const
     sp.l1.sizeBytes = l1SizeBytes;
     sp.l1.assoc = l1Assoc;
     sp.l1.lineBytes = lineBytes;
-    sp.l1.writePolicy = WritePolicy::WriteThrough;
-    sp.l1.writeAlloc = WriteAllocPolicy::NoAllocate;
     sp.l1.seed = seed + id;
     sp.l1Latency = l1Latency;
     sp.l1Mshrs = l1Mshrs;
@@ -591,15 +589,15 @@ buildRegistry()
              c.sweepOnError = parseSweepOnError(v);
          }},
         {"trace_record", "string", "",
-         "Record the run's warp streams to this trace file "
-         "(docs/trace_format.md).",
+         "Record app 0's warp streams to this trace file "
+         "(docs/trace_format.md); one file per point of a grid.",
          [](const SimConfig &c) { return c.traceRecordPath; },
          [](SimConfig &c, const std::string &v) {
              c.traceRecordPath = v;
          }},
         {"trace_replay", "string", "",
-         "Replay the workload from this trace file instead of "
-         "generating it.",
+         "Replay app 0's workload from this trace file instead of "
+         "generating it; a missing file fails the point.",
          [](const SimConfig &c) { return c.traceReplayPath; },
          [](SimConfig &c, const std::string &v) {
              c.traceReplayPath = v;

@@ -181,9 +181,9 @@ struct SimConfig
     SweepOnError sweepOnError = SweepOnError::Abort;
 
     // ---- trace capture / replay (src/trace) ------------------------
-    /** Record the run's warp streams to this trace file. */
+    /** Record app 0's warp streams to this trace file (runPoint). */
     std::string traceRecordPath;
-    /** Replay the workload from this trace file instead. */
+    /** Replay app 0's workload from this trace file instead. */
     std::string traceReplayPath;
 
     // ---- observability (src/obs) -----------------------------------

@@ -1,5 +1,6 @@
 #include "sim/sweep.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <exception>
@@ -9,6 +10,7 @@
 #include "common/error.hh"
 #include "common/log.hh"
 #include "obs/recorder.hh"
+#include "trace/recording_gen.hh"
 
 namespace amsc
 {
@@ -78,30 +80,80 @@ SweepRunner::parallelFor(
         std::rethrow_exception(first_error);
 }
 
+namespace
+{
+
+/**
+ * Install @p point's workload. The trace keys redirect app 0: it
+ * replays cfg.traceReplayPath, or its kernels are wrapped so every
+ * warp stream is captured into @p writer.
+ */
+void
+installWorkload(GpuSystem &gpu, const SweepPoint &point,
+                const std::shared_ptr<TraceWriter> &writer)
+{
+    const SimConfig &cfg = point.cfg;
+    if (point.setup) {
+        point.setup(gpu);
+        return;
+    }
+    // A replay needs no app 0 spec: the trace is the workload.
+    const std::size_t apps = std::max<std::size_t>(
+        point.apps.size(), cfg.traceReplayPath.empty() ? 0 : 1);
+    for (AppId a = 0; a < static_cast<AppId>(apps); ++a) {
+        std::vector<KernelInfo> kernels =
+            a == 0 && !cfg.traceReplayPath.empty()
+            ? WorkloadSuite::buildReplayKernels(cfg.traceReplayPath)
+            : WorkloadSuite::buildKernels(point.apps[a], cfg.seed, a);
+        if (a == 0 && writer)
+            kernels = wrapKernelsForRecording(kernels, writer);
+        gpu.setWorkload(a, std::move(kernels));
+    }
+}
+
+} // namespace
+
 RunResult
 SweepRunner::runPoint(const SweepPoint &point)
 {
-    GpuSystem gpu(point.cfg);
-    if (point.setup) {
-        point.setup(gpu);
-    } else {
-        for (AppId a = 0;
-             a < static_cast<AppId>(point.apps.size()); ++a) {
-            gpu.setWorkload(a, WorkloadSuite::buildKernels(
-                                   point.apps[a], point.cfg.seed, a));
-        }
+    const SimConfig &cfg = point.cfg;
+    if (point.setup &&
+        !(cfg.traceRecordPath.empty() && cfg.traceReplayPath.empty()))
+        throw ConfigError(strfmt(
+            "point '%s': trace_record and trace_replay apply to suite "
+            "and synthetic apps, not to replay= or class= apps",
+            point.label.c_str()));
+    // A recording's writer outlives the GpuSystem: destroying the
+    // system flushes every live warp stream into it.
+    std::shared_ptr<TraceWriter> writer;
+    if (!cfg.traceRecordPath.empty())
+        writer = std::make_shared<TraceWriter>(cfg.traceRecordPath);
+    RunResult r;
+    {
+        GpuSystem gpu(cfg);
+        installWorkload(gpu, point, writer);
+        if (point.onBuilt)
+            point.onBuilt(gpu);
+        // Observability is per point: the recorder exists only when
+        // this point's config enables it, and the sinks are
+        // pull-only, so results stay bit-identical either way
+        // (tests/test_obs.cc).
+        const auto recorder = obs::TimelineRecorder::fromConfig(gpu);
+        r = gpu.run();
+        if (recorder)
+            recorder->finish();
+        if (point.post)
+            point.post(gpu, r);
     }
-    if (point.onBuilt)
-        point.onBuilt(gpu);
-    // Observability is per point: the recorder exists only when this
-    // point's config enables it, and the sinks are pull-only, so
-    // results stay bit-identical either way (tests/test_obs.cc).
-    const auto recorder = obs::TimelineRecorder::fromConfig(gpu);
-    RunResult r = gpu.run();
-    if (recorder)
-        recorder->finish();
-    if (point.post)
-        point.post(gpu, r);
+    if (writer) {
+        writer->setRunSummary(summarizeRun(r));
+        writer->finalize();
+        if (!r.finishedWork)
+            warn("%s: recorded run hit its cycle horizon; warps "
+                 "mid-stream were truncated and a replay will finish "
+                 "early",
+                 writer->path().c_str());
+    }
     return r;
 }
 

@@ -36,8 +36,11 @@ struct SweepPoint
     SimConfig cfg;
     /**
      * Per-application workloads; app i receives
-     * WorkloadSuite::buildKernels(apps[i], cfg.seed, i). Ignored when
-     * @ref setup is set.
+     * WorkloadSuite::buildKernels(apps[i], cfg.seed, i), except that
+     * cfg.traceReplayPath replaces app 0's kernels with the trace and
+     * cfg.traceRecordPath captures app 0's warp streams into that
+     * file. Ignored when @ref setup is set (the trace keys are then
+     * a ConfigError).
      */
     std::vector<WorkloadSpec> apps;
     /** Custom workload installation (overrides @ref apps). */

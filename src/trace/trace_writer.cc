@@ -119,7 +119,6 @@ TraceWriter::writeWarpBlock(std::uint32_t kernel, CtaId cta,
     kernels_[kernel].warps.push_back(e);
 
     writeRaw(payload.data(), payload.size());
-    ++blocks_;
 }
 
 void

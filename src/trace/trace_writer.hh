@@ -88,7 +88,6 @@ class TraceWriter
 
     const std::string &path() const { return path_; }
     bool finalized() const { return finalized_; }
-    std::uint64_t blocksWritten() const { return blocks_; }
 
   private:
     struct WarpEntry
@@ -115,7 +114,6 @@ class TraceWriter
     std::vector<KernelEntry> kernels_;
     TraceRunSummary summary_{};
     std::uint64_t offset_ = 0; ///< current append position
-    std::uint64_t blocks_ = 0;
     bool finalized_ = false;
 };
 

@@ -4,7 +4,6 @@
 
 #include "common/error.hh"
 #include "common/log.hh"
-#include "trace/recording_gen.hh"
 #include "trace/replay_gen.hh"
 
 namespace amsc
@@ -226,19 +225,16 @@ WorkloadSuite::buildKernels(const WorkloadSpec &spec,
 }
 
 std::vector<KernelInfo>
-WorkloadSuite::buildRecordedKernels(
-    const WorkloadSpec &spec, std::uint64_t seed,
-    const std::shared_ptr<TraceWriter> &writer, AppId app)
-{
-    return wrapKernelsForRecording(buildKernels(spec, seed, app),
-                                   writer);
-}
-
-std::vector<KernelInfo>
 WorkloadSuite::buildReplayKernels(
     const std::shared_ptr<const TraceReader> &reader)
 {
     return makeReplayKernels(reader);
+}
+
+std::vector<KernelInfo>
+WorkloadSuite::buildReplayKernels(const std::string &path)
+{
+    return makeReplayKernels(std::make_shared<const TraceReader>(path));
 }
 
 std::vector<std::pair<WorkloadSpec, WorkloadSpec>>

@@ -25,7 +25,6 @@
 namespace amsc
 {
 
-class TraceWriter;
 class TraceReader;
 
 /** Paper workload classification (Fig 2). */
@@ -84,24 +83,20 @@ class WorkloadSuite
     static std::vector<std::pair<WorkloadSpec, WorkloadSpec>>
     multiprogramPairs();
 
-    // ---- trace capture / replay (src/trace) ------------------------
-
-    /**
-     * buildKernels() with every warp stream captured into @p writer
-     * (see wrapKernelsForRecording): the run behaves identically to
-     * the unrecorded one while producing a replayable trace.
-     */
-    static std::vector<KernelInfo>
-    buildRecordedKernels(const WorkloadSpec &spec, std::uint64_t seed,
-                         const std::shared_ptr<TraceWriter> &writer,
-                         AppId app = 0);
-
     /**
      * Kernel sequence replaying @p reader's trace; substitutes for
      * any makeSyntheticKernel-built workload.
      */
     static std::vector<KernelInfo>
     buildReplayKernels(const std::shared_ptr<const TraceReader> &reader);
+
+    /**
+     * buildReplayKernels() of the trace file at @p path (the builder
+     * of `trace_replay=` and of `app { replay = }`); IoError or
+     * FormatError if the file is missing or not a finalized trace.
+     */
+    static std::vector<KernelInfo>
+    buildReplayKernels(const std::string &path);
 };
 
 } // namespace amsc

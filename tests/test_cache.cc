@@ -182,15 +182,13 @@ namespace
 {
 
 CacheParams
-smallCache(WritePolicy wp, WriteAllocPolicy wa)
+smallCache()
 {
     CacheParams p;
     p.name = "t";
     p.sizeBytes = 8 * 128; // 8 lines
     p.assoc = 2;
     p.lineBytes = 128;
-    p.writePolicy = wp;
-    p.writeAlloc = wa;
     return p;
 }
 
@@ -198,72 +196,48 @@ smallCache(WritePolicy wp, WriteAllocPolicy wa)
 
 TEST(CacheModel, ReadMissThenFillThenHit)
 {
-    CacheModel c(smallCache(WritePolicy::WriteBack,
-                            WriteAllocPolicy::Allocate));
-    const LookupResult r1 = c.lookup(10, false, 0, 1);
-    EXPECT_FALSE(r1.hit);
-    EXPECT_EQ(r1.fillAddr, 10u);
-    c.fill(10, false, 0, 2);
-    const LookupResult r2 = c.lookup(10, false, 0, 3);
-    EXPECT_TRUE(r2.hit);
+    CacheModel c(smallCache());
+    EXPECT_FALSE(c.lookup(10, false, 0, 1));
+    EXPECT_FALSE(c.contains(10));
+    c.fill(10, 0, 2);
+    EXPECT_TRUE(c.lookup(10, false, 0, 3));
     EXPECT_EQ(c.stats().readMisses, 1u);
     EXPECT_EQ(c.stats().readHits, 1u);
 }
 
 TEST(CacheModel, WriteThroughForwardsAllWrites)
 {
-    CacheModel c(smallCache(WritePolicy::WriteThrough,
-                            WriteAllocPolicy::NoAllocate));
+    CacheModel c(smallCache());
     // Write miss: forwarded, not installed.
-    const LookupResult r1 = c.lookup(5, true, 0, 1);
-    EXPECT_TRUE(r1.forwardWrite);
-    EXPECT_EQ(r1.fillAddr, kNoAddr);
+    EXPECT_FALSE(c.lookup(5, true, 0, 1));
     EXPECT_FALSE(c.contains(5));
-    // Install via a read, then write hit still forwards.
+    // Install via a read, then a write hit still forwards.
     c.lookup(5, false, 0, 2);
-    c.fill(5, false, 0, 2);
-    const LookupResult r2 = c.lookup(5, true, 0, 3);
-    EXPECT_TRUE(r2.hit);
-    EXPECT_TRUE(r2.forwardWrite);
+    c.fill(5, 0, 2);
+    EXPECT_TRUE(c.lookup(5, true, 0, 3));
+    EXPECT_EQ(c.stats().writeMisses, 1u);
+    EXPECT_EQ(c.stats().writeHits, 1u);
+    EXPECT_EQ(c.stats().writeThroughForwards, 2u);
     // Write-through never creates dirty lines.
-    EXPECT_TRUE(c.collectDirtyLines().empty());
-}
-
-TEST(CacheModel, WriteBackDirtiesAndWritesBackOnEviction)
-{
-    CacheParams p = smallCache(WritePolicy::WriteBack,
-                               WriteAllocPolicy::Allocate);
-    p.sizeBytes = 2 * 128; // 1 set, 2 ways
-    p.assoc = 2;
-    CacheModel c(p);
-    c.lookup(0, true, 0, 1);
-    c.fill(0, true, 0, 1); // dirty install
-    c.lookup(2, false, 0, 2);
-    c.fill(2, false, 0, 2);
-    // Next fill evicts line 0 (LRU) which is dirty.
-    c.lookup(4, false, 0, 3);
-    const FillResult f = c.fill(4, false, 0, 3);
-    EXPECT_TRUE(f.writeback);
-    EXPECT_EQ(f.writebackAddr, 0u);
+    EXPECT_FALSE(c.tags().probe(5)->dirty);
+    EXPECT_TRUE(c.tags().collectDirtyLines().empty());
 }
 
 TEST(CacheModel, DoubleFillIsIdempotent)
 {
-    CacheModel c(smallCache(WritePolicy::WriteBack,
-                            WriteAllocPolicy::Allocate));
+    CacheModel c(smallCache());
     c.lookup(9, false, 0, 1);
-    c.fill(9, false, 0, 1);
-    const FillResult f = c.fill(9, false, 0, 2);
-    EXPECT_FALSE(f.writeback);
+    c.fill(9, 0, 1);
+    c.fill(9, 0, 2);
     EXPECT_EQ(c.stats().fills, 1u);
+    EXPECT_EQ(c.stats().evictions, 0u);
 }
 
 TEST(CacheModel, MissRateComputation)
 {
-    CacheModel c(smallCache(WritePolicy::WriteThrough,
-                            WriteAllocPolicy::NoAllocate));
+    CacheModel c(smallCache());
     c.lookup(1, false, 0, 1); // miss
-    c.fill(1, false, 0, 1);
+    c.fill(1, 0, 1);
     c.lookup(1, false, 0, 2); // hit
     c.lookup(1, false, 0, 3); // hit
     c.lookup(2, false, 0, 4); // miss
@@ -272,10 +246,9 @@ TEST(CacheModel, MissRateComputation)
 
 TEST(CacheModel, AccessorMaskTracksClusters)
 {
-    CacheModel c(smallCache(WritePolicy::WriteBack,
-                            WriteAllocPolicy::Allocate));
+    CacheModel c(smallCache());
     c.lookup(3, false, 2, 1);
-    c.fill(3, false, 2, 1);
+    c.fill(3, 2, 1);
     c.lookup(3, false, 5, 2);
     const CacheLine *line = c.tags().probe(3);
     ASSERT_NE(line, nullptr);

@@ -276,6 +276,43 @@ TEST(Scenario, Fig11GridMatchesBenchPointForPoint)
     }
 }
 
+TEST(Scenario, AblationReconfigGridMatchesBenchPointForPoint)
+{
+    // The grid the section 4.1 bench program built in C++: a static
+    // private reference, the epoch sweep (profile = epoch/40), then
+    // the power-gate delay sweep at a 100k epoch.
+    const SimConfig base = fig11BenchConfig();
+    std::vector<SimConfig> bench;
+    SimConfig cfg = base;
+    cfg.llcPolicy = LlcPolicy::ForcePrivate;
+    bench.push_back(cfg);
+    for (const Cycle epoch : {25000u, 50000u, 100000u, 200000u}) {
+        cfg = base;
+        cfg.llcPolicy = LlcPolicy::Adaptive;
+        cfg.epochLen = epoch;
+        cfg.profileLen = epoch / 40;
+        bench.push_back(cfg);
+    }
+    for (const Cycle delay : {10u, 30u, 100u, 300u}) {
+        cfg = base;
+        cfg.llcPolicy = LlcPolicy::Adaptive;
+        cfg.epochLen = 100000;
+        cfg.gateDelay = delay;
+        bench.push_back(cfg);
+    }
+
+    const auto expanded =
+        Scenario::load(kSourceDir + "/scenarios/ablation_reconfig.scn")
+            .expand();
+    ASSERT_EQ(expanded.size(), bench.size());
+    for (std::size_t i = 0; i < bench.size(); ++i) {
+        const SweepPoint &p = expanded[i].point;
+        expectSameConfig(p.cfg, bench[i], p.label);
+        ASSERT_EQ(p.apps.size(), 1u);
+        EXPECT_EQ(p.apps[0].abbr, "AN");
+    }
+}
+
 TEST(Scenario, Fig11RunsBitIdenticalToBench)
 {
     // Short-horizon spot check that the scenario points don't just

@@ -3,7 +3,8 @@
  * Tests for the warp-trace capture & replay subsystem: the varint
  * record codec, writer -> reader round trips, corrupt-file handling,
  * per-warp stream determinism (the contract `trace_tool verify`
- * relies on) and whole-system record-then-replay equality.
+ * relies on), whole-system record-then-replay equality, and the
+ * trace_record / trace_replay keys on any sweep point.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +17,9 @@
 #include <string>
 #include <vector>
 
+#include "scenario/scenario.hh"
 #include "sim/gpu_system.hh"
+#include "sim/sweep.hh"
 #include "trace/recording_gen.hh"
 #include "trace/replay_gen.hh"
 #include "trace/trace_format.hh"
@@ -532,6 +535,99 @@ TEST(TraceSystem, RecordingDoesNotPerturbTheRun)
     EXPECT_EQ(plain.llcAccesses, rec.llcAccesses);
     EXPECT_DOUBLE_EQ(plain.llcReadMissRate, rec.llcReadMissRate);
     std::remove(path.c_str());
+}
+
+// ------------------------------------- trace keys on any sweep point
+
+namespace
+{
+
+/** The one point of a small scenario whose app is @p app_block. */
+SweepPoint
+scenarioPoint(const std::string &app_block)
+{
+    const std::string text = "name = t\n"
+                             "config {\n"
+                             "  num_sms = 16\n"
+                             "  num_clusters = 4\n"
+                             "  num_mcs = 4\n"
+                             "  slices_per_mc = 4\n"
+                             "  max_cycles = 300000\n"
+                             "  profile_len = 1000\n"
+                             "  epoch_len = 50000\n"
+                             "  llc_policy = adaptive\n"
+                             "}\n"
+                             "app {\n" +
+        app_block + "}\n";
+    const auto points =
+        scenario::Scenario::fromKv(
+            scenario::Scenario::parseScnText(text, "t.scn"), "t.scn")
+            .expand();
+    EXPECT_EQ(points.size(), 1u);
+    return points.at(0).point;
+}
+
+const std::string kZipfApp = "  pattern = zipf\n"
+                             "  shared_mb = 0.25\n"
+                             "  write_fraction = 0.1\n"
+                             "  atomic_fraction = 0.05\n"
+                             "  mem_instrs = 60\n"
+                             "  ctas = 32\n"
+                             "  warps = 4\n";
+
+} // namespace
+
+TEST(TraceKeys, RecordedPointReplaysThroughReplayApp)
+{
+    const std::string path = tmpPath("keys_record.trc");
+    SweepPoint rec_point = scenarioPoint(kZipfApp);
+    const RunResult plain = SweepRunner::runPoint(rec_point);
+    rec_point.cfg.traceRecordPath = path;
+    const RunResult rec = SweepRunner::runPoint(rec_point);
+    ASSERT_TRUE(rec.finishedWork);
+    EXPECT_TRUE(identicalResults(rec, plain)); // recording is transparent
+    EXPECT_EQ(TraceReader(path).summary().cycles, rec.cycles);
+
+    const RunResult rep =
+        SweepRunner::runPoint(scenarioPoint("  replay = " + path + "\n"));
+    EXPECT_TRUE(identicalResults(rep, rec));
+    std::remove(path.c_str());
+}
+
+TEST(TraceKeys, TraceReplayMatchesReplayApp)
+{
+    const std::string path = tmpPath("keys_replay.trc");
+    SweepPoint point = scenarioPoint(kZipfApp);
+    point.cfg.traceRecordPath = path;
+    SweepRunner::runPoint(point);
+
+    point.cfg.traceRecordPath.clear();
+    point.cfg.traceReplayPath = path;
+    const RunResult by_key = SweepRunner::runPoint(point);
+    const RunResult by_app =
+        SweepRunner::runPoint(scenarioPoint("  replay = " + path + "\n"));
+    EXPECT_TRUE(by_key.finishedWork);
+    EXPECT_TRUE(identicalResults(by_key, by_app));
+    std::remove(path.c_str());
+}
+
+TEST(TraceKeys, MissingReplayFileThrows)
+{
+    SweepPoint point = scenarioPoint(kZipfApp);
+    point.cfg.traceReplayPath = tmpPath("no_such_trace.trc");
+    std::remove(point.cfg.traceReplayPath.c_str());
+    EXPECT_THROW(SweepRunner::runPoint(point), IoError);
+}
+
+TEST(TraceKeys, CustomSetupPointsRejectTheKeys)
+{
+    // A setup closure installs its own workload, so app 0 has no
+    // kernel list to replace or wrap.
+    SweepPoint point = scenarioPoint("  replay = x.trc\n");
+    point.cfg.traceRecordPath = tmpPath("never_written.trc");
+    std::remove(point.cfg.traceRecordPath.c_str());
+    EXPECT_THROW(SweepRunner::runPoint(point), ConfigError);
+    EXPECT_FALSE(std::ifstream(point.cfg.traceRecordPath).good());
 }
 
 } // namespace amsc

@@ -2,9 +2,11 @@
  * @file
  * The unified amsc command-line interface.
  *
- *   amsc run <scenario.scn> [key=value ...] [--smoke]
+ *   amsc run <scenario.scn> [key=value ...] [--smoke] [--stats]
  *       Execute a scenario (its whole sweep grid) and print a
  *       summary table, or CSV/JSON with format=csv|json [out=FILE].
+ *       --stats then prints each point's per-component statistics
+ *       tree to stdout.
  *       A scenario with an `expect { }` block then prints its
  *       measured-vs-paper table to stderr and exits 1 if a relation
  *       is violated (run, sweep and merge alike).
@@ -50,6 +52,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -66,6 +69,7 @@
 #include "common/error.hh"
 #include "common/kvargs.hh"
 #include "common/log.hh"
+#include "common/stats.hh"
 #include "common/strutil.hh"
 #include "obs/trace_check.hh"
 #include "scenario/diff_fuzz.hh"
@@ -113,7 +117,8 @@ usage()
         "\n"
         "common keys: threads=N format=table|csv|json out=FILE\n"
         "run/sweep:   --timeline=FILE (Perfetto JSON per point), "
-        "--progress\n"
+        "--progress,\n"
+        "             --stats (per-component statistics per point)\n"
         "sweep/resume: --journal=DIR (crash-safe journaled run), "
         "--shard=i/N\n"
         "full reference: docs/configuration.md, "
@@ -265,17 +270,18 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
     for (const ExpandedPoint &ep : expanded)
         points.push_back(ep.point);
 
-    // Per-point output files: a multi-point grid with one timeline
-    // (or stats-stream) path would have every worker clobbering the
-    // same file, so suffix the point index before the extension.
+    // Per-point output files: a multi-point grid with one timeline,
+    // stats-stream or trace path would have every worker clobbering
+    // the same file, so suffix the point index before the extension.
     if (points.size() > 1) {
         for (std::size_t i = 0; i < points.size(); ++i) {
             SimConfig &cfg = points[i].cfg;
-            if (!cfg.timelineOut.empty())
-                cfg.timelineOut = perPointPath(cfg.timelineOut, i);
-            if (!cfg.statsStreamOut.empty())
-                cfg.statsStreamOut =
-                    perPointPath(cfg.statsStreamOut, i);
+            for (std::string *out : {&cfg.timelineOut,
+                                     &cfg.statsStreamOut,
+                                     &cfg.traceRecordPath}) {
+                if (!out->empty())
+                    *out = perPointPath(*out, i);
+            }
         }
         if (!points[0].cfg.timelineOut.empty())
             std::fprintf(stderr, "amsc: timeline per point: %s ...\n",
@@ -322,6 +328,26 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
                      "amsc: journal %s: %zu/%zu shard points "
                      "already done\n",
                      jpath.c_str(), already_done, shard_points);
+    }
+
+    // --stats: each executed point's statistics tree, captured on
+    // its worker while the system is alive and printed in grid order
+    // after the summary.
+    std::vector<std::string> stat_trees(points.size());
+    if (hasFlag(args, "--stats")) {
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const auto post = points[i].post;
+            std::string *tree = &stat_trees[i];
+            points[i].post = [post, tree](GpuSystem &gpu, RunResult &r) {
+                if (post)
+                    post(gpu, r);
+                StatSet set("amsc");
+                gpu.registerStats(set);
+                std::ostringstream os;
+                set.dump(os);
+                *tree = os.str();
+            };
+        }
     }
 
     const SweepRunner runner(
@@ -388,6 +414,7 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
     const std::vector<RunResult> results =
         runner.run(points, options, progress);
 
+    int rc = 0;
     if (journal) {
         // Emission is merge's job: a shard only sees its slice.
         std::fprintf(stderr,
@@ -397,11 +424,16 @@ cmdRunSweep(const KvArgs &args, bool is_sweep, bool is_resume)
                      shard, shard_count, journal->numDone(),
                      shard_points, path.c_str(),
                      journal_dir.c_str());
-        return 0;
+    } else {
+        rc = emitAndCheck(args, scn, expanded, results, errors,
+                          is_sweep ? "csv" : "table");
     }
-
-    return emitAndCheck(args, scn, expanded, results, errors,
-                        is_sweep ? "csv" : "table");
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (!stat_trees[i].empty())
+            std::printf("\n==== statistics: %s ====\n%s",
+                        points[i].label.c_str(), stat_trees[i].c_str());
+    }
+    return rc;
 }
 
 /** amsc merge: fold shard journals into the single-process output. */
