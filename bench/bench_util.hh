@@ -1,9 +1,9 @@
 /**
  * @file
  * Shared helpers of the bench programs that a scenario cannot state:
- * Fig 15 (its STP divides by a second grid), the Table 1/2 printers,
- * the line-size and profiler ablations and the bench harness. Every
- * other experiment is a `.scn` scenario run by `amsc`.
+ * Fig 15 (its STP divides by a second grid), the Table 1 printer and
+ * the line-size and profiler ablations. Every other experiment is a
+ * `.scn` scenario run by `amsc`; Table 2 is `amsc list workloads`.
  *
  * Every bench accepts SimConfig key=value overrides plus:
  *   max_cycles=N   simulated cycles per run (default 60000)
@@ -93,25 +93,6 @@ policyPoint(SimConfig cfg, const WorkloadSpec &spec, LlcPolicy policy)
     p.cfg = std::move(cfg);
     p.apps = {spec};
     return p;
-}
-
-/** Append shared, private and adaptive points for @p spec. */
-inline void
-pushPolicyTriple(std::vector<SweepPoint> &points, const SimConfig &cfg,
-                 const WorkloadSpec &spec)
-{
-    for (const LlcPolicy policy : {LlcPolicy::ForceShared,
-                                   LlcPolicy::ForcePrivate,
-                                   LlcPolicy::Adaptive})
-        points.push_back(policyPoint(cfg, spec, policy));
-}
-
-/** Run one workload under one LLC policy (single-point shorthand). */
-inline RunResult
-runWorkload(SimConfig cfg, const WorkloadSpec &spec, LlcPolicy policy)
-{
-    return SweepRunner::runPoint(
-        policyPoint(std::move(cfg), spec, policy));
 }
 
 /** Print a markdown table separator row of @p cols columns. */

@@ -89,10 +89,10 @@ class TimelineSink
 };
 
 /**
- * The no-op sink: accepts the full event stream and drops it.
- * Exists so the timeline-overhead microbench (bench_harness) can
- * separate the cost of *observing* (sampling the counters) from the
- * cost of *serializing* (writing JSON).
+ * The no-op sink: accepts the full event stream and drops it. It is
+ * what `timeline=1` without `timeline_out` feeds, so the observers
+ * run with nothing serialized; Obs.NullSinkRunIsBitExact checks that
+ * observing alone never perturbs a run.
  */
 class NullTimelineSink : public TimelineSink
 {

@@ -17,7 +17,7 @@ bool
 identicalResults(const RunResult &a, const RunResult &b)
 {
     // Field-drift guards: this function is the determinism gate for
-    // SweepRunner, bench_harness and test_perf_invariance. Adding a
+    // the tests, `amsc fuzz` and `trace_tool verify`. Adding a
     // field to any compared struct must extend the matching lambda
     // below -- on the LP64 CI platform these asserts force that
     // update (other ABIs may pad differently, so they are scoped).

@@ -190,8 +190,8 @@ struct SimConfig
     /**
      * Capture the run's timeline (epoch phases, Rule #1/#2/#3
      * decisions, per-slice/per-MC/NoC counters). With timelineOut
-     * empty the stream feeds a null sink -- the overhead-measurement
-     * configuration of bench_harness.
+     * empty the stream feeds a null sink: the observers run and
+     * nothing is written.
      */
     bool timeline = false;
     /** Perfetto/chrome-tracing JSON output path (implies timeline). */

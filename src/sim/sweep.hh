@@ -60,7 +60,7 @@ struct SweepPoint
      * caller-owned per-point slots.
      */
     std::function<void(GpuSystem &, RunResult &)> post;
-    /** Display label (bench tables, BENCH_core.json). */
+    /** Display label (bench tables, bench json=/csv= dumps). */
     std::string label;
 };
 

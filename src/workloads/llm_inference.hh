@@ -2,8 +2,9 @@
  * @file
  * Open-loop LLM-inference serving workload (request-driver program).
  *
- * Models the traffic class ROADMAP item 3 asks about: multi-tenant
- * inference serving under a Poisson request stream. Requests arrive
+ * Models the traffic class of the ROADMAP's serving item ("Serving
+ * numbers that are honest and explainable"): multi-tenant inference
+ * serving under a Poisson request stream. Requests arrive
  * open-loop (arrival times never depend on service progress) over a
  * Zipf-distributed tenant population; the driver queues them, batches
  * consecutive same-tenant requests, and launches a three-phase chain

@@ -387,28 +387,44 @@ TEST(CheckpointEquivalence, ServingMidIdle)
 TEST(CheckpointFile, PeriodicCheckpointRestores)
 {
     const std::string path = tmpPath("periodic.ckpt");
-    SimConfig cfg = smallConfig();
-    const SetupFn setup = singleApp(AccessPattern::ZipfShared);
-    const RunResult a = unbrokenRun(cfg, setup);
+    SimConfig adaptive = smallConfig();
+    adaptive.llcPolicy = LlcPolicy::Adaptive;
+    const struct
+    {
+        SimConfig cfg;
+        SetupFn setup;
+    } cases[] = {
+        {smallConfig(), singleApp(AccessPattern::ZipfShared)},
+        // Periodic writes across an adaptive reconfiguration.
+        {adaptive, singleApp(AccessPattern::Broadcast)},
+    };
+    for (const auto &[cfg, setup] : cases) {
+        const RunResult a = unbrokenRun(cfg, setup);
+        if (cfg.llcPolicy == LlcPolicy::Adaptive) {
+            ASSERT_GT(a.llcCtrl.transitionsToPrivate, 0u);
+        }
 
-    SimConfig with_ckpt = cfg;
-    with_ckpt.checkpointEvery = 700;
-    with_ckpt.checkpointPath = path;
-    const RunResult b = unbrokenRun(with_ckpt, setup);
-    // The knobs are observability-only: the run itself is unchanged.
-    EXPECT_TRUE(identicalResults(a, b));
+        SimConfig with_ckpt = cfg;
+        with_ckpt.checkpointEvery = 700;
+        with_ckpt.checkpointPath = path;
+        const RunResult b = unbrokenRun(with_ckpt, setup);
+        // The knobs are observability-only: the run itself is
+        // unchanged.
+        EXPECT_TRUE(identicalResults(a, b));
 
-    // The file holds the last grid checkpoint; restoring it and
-    // finishing reproduces the run. Restore under the original
-    // config: checkpoint_every/checkpoint_path are identity-excluded.
-    GpuSystem gpu(cfg);
-    setup(gpu);
-    std::ifstream is(path, std::ios::binary);
-    ASSERT_TRUE(is.is_open()) << "no checkpoint file at " << path;
-    gpu.restore(is);
-    const RunResult c = gpu.run();
-    EXPECT_TRUE(identicalResults(a, c));
-    std::remove(path.c_str());
+        // The file holds the last grid checkpoint; restoring it and
+        // finishing reproduces the run. Restore under the original
+        // config: checkpoint_every/checkpoint_path are
+        // identity-excluded.
+        GpuSystem gpu(cfg);
+        setup(gpu);
+        std::ifstream is(path, std::ios::binary);
+        ASSERT_TRUE(is.is_open()) << "no checkpoint file at " << path;
+        gpu.restore(is);
+        const RunResult c = gpu.run();
+        EXPECT_TRUE(identicalResults(a, c));
+        std::remove(path.c_str());
+    }
 }
 
 // ------------------------------------------------- container integrity

@@ -34,7 +34,9 @@
  *       reproducible .scn and exits 1.
  *
  *   amsc list [workloads|scenarios [dir=DIR]]
- *       The Table-2 workload suite, or the .scn files of a directory.
+ *       The Table-2 workload suite with each stand-in's synthetic
+ *       parameters and measured shared-region coverage, or the .scn
+ *       files of a directory.
  *
  *   amsc describe [<key>] [--markdown]
  *       The complete SimConfig key registry; --markdown emits
@@ -52,6 +54,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -514,6 +517,47 @@ cmdMerge(const KvArgs &args)
     return emitAndCheck(args, scn, expanded, results, errors, "csv");
 }
 
+/** Table 2's access-pattern names. */
+const char *
+patternName(AccessPattern p)
+{
+    switch (p) {
+      case AccessPattern::Broadcast:
+        return "broadcast";
+      case AccessPattern::ZipfShared:
+        return "zipf-shared";
+      case AccessPattern::TiledShared:
+        return "tiled-shared";
+      case AccessPattern::PrivateStream:
+        return "private-stream";
+    }
+    return "?";
+}
+
+/**
+ * Distinct shared-region lines that 64 warp generators (8 CTAs x 8
+ * warps) of @p s's first kernel read: how much of the configured
+ * shared footprint the synthetic stream actually touches.
+ */
+std::size_t
+drawnSharedLines(const WorkloadSpec &s)
+{
+    const auto kernels = WorkloadSuite::buildKernels(s, 1);
+    std::set<Addr> distinct;
+    WarpInstr wi;
+    Cycle c = 0;
+    for (int w = 0; w < 64; ++w) {
+        auto g = kernels[0].makeGen(static_cast<CtaId>(w / 8), w % 8);
+        while (g->nextInstr(wi, c)) {
+            c += 3;
+            if (!wi.isWrite &&
+                wi.addrs[0] < s.trace.sharedBase + s.trace.sharedLines)
+                distinct.insert(wi.addrs[0]);
+        }
+    }
+    return distinct.size();
+}
+
 int
 cmdList(const KvArgs &args)
 {
@@ -522,13 +566,32 @@ cmdList(const KvArgs &args)
         : "workloads";
     if (what == "workloads") {
         std::printf("| abbr | benchmark | class | shared MB | "
-                    "kernels | CTAs x warps |\n"
-                    "|---|---|---|---|---|---|\n");
+                    "kernels (paper/sim) | CTAs x warps | pattern | "
+                    "shared frac | compute/mem |\n"
+                    "|---|---|---|---|---|---|---|---|---|\n");
         for (const WorkloadSpec &s : WorkloadSuite::all()) {
-            std::printf("| %s | %s | %s | %.3f | %u | %u x %u |\n",
+            std::printf("| %s | %s | %s | %.3f | %u / %u | %u x %u | "
+                        "%s | %.2f | %u |\n",
                         s.abbr.c_str(), s.fullName.c_str(),
                         workloadClassName(s.klass).c_str(), s.sharedMb,
-                        s.simKernels, s.numCtas, s.warpsPerCta);
+                        s.paperKernels, s.simKernels, s.numCtas,
+                        s.warpsPerCta, patternName(s.trace.pattern),
+                        s.trace.sharedFraction, s.trace.computePerMem);
+        }
+        std::printf("\nMeasured shared-region coverage (reads of 64 "
+                    "warp generators of kernel 0):\n\n"
+                    "| abbr | configured lines | drawn distinct | "
+                    "coverage |\n"
+                    "|---|---|---|---|\n");
+        for (const WorkloadSpec &s : WorkloadSuite::all()) {
+            const std::size_t drawn = drawnSharedLines(s);
+            std::printf("| %s | %llu | %zu | %.1f%% |\n",
+                        s.abbr.c_str(),
+                        static_cast<unsigned long long>(
+                            s.trace.sharedLines),
+                        drawn,
+                        100.0 * static_cast<double>(drawn) /
+                            static_cast<double>(s.trace.sharedLines));
         }
         return 0;
     }
